@@ -6,14 +6,13 @@ hyperbolic Adam training, and an exact structure re-parameterization that
 folds masks and batch normalization into plain affine maps for inference.
 """
 
-from .numerics import Rng, ShapeError, finite_diff_grad, gaussian_sample, matmul
+from .numerics import Rng, ShapeError, finite_diff_grad
 from .entmax import EntmaxResult, entmax15, entmax15_backward
 from .layers import AbstractLayer, AbstractUnit, GhostBatchNorm, relu, sigmoid
 from .network import (BasicBlock, DANet, DANetConfig, FlopsReport, MlpHead,
-                      WIDE_CONFIG, count_flops, count_flops_folded)
+                      count_flops, count_flops_folded)
 from .reparam import (CompressedLayer, CompressedModel, CompressedUnit,
-                      compress_model, compress_unit, compressed_forward,
-                      fold_bn, fold_mask)
+                      compress_model, compress_unit, fold_bn, fold_mask)
 from .training import (FitResult, QhAdam, TrainConfig, TrainingError,
                        cross_entropy, evaluate, fit, history_to_csv, lr_at, mse)
 from .data import (DataError, Dataset, LooTable, PreprocessState, ZscoreStats,
@@ -24,13 +23,13 @@ from .serialize import ContainerError, LoadedModel, load_model, save_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rng", "ShapeError", "finite_diff_grad", "gaussian_sample", "matmul",
+    "Rng", "ShapeError", "finite_diff_grad",
     "EntmaxResult", "entmax15", "entmax15_backward",
     "AbstractLayer", "AbstractUnit", "GhostBatchNorm", "relu", "sigmoid",
     "BasicBlock", "DANet", "DANetConfig", "FlopsReport", "MlpHead",
-    "WIDE_CONFIG", "count_flops", "count_flops_folded",
+    "count_flops", "count_flops_folded",
     "CompressedLayer", "CompressedModel", "CompressedUnit", "compress_model",
-    "compress_unit", "compressed_forward", "fold_bn", "fold_mask",
+    "compress_unit", "fold_bn", "fold_mask",
     "FitResult", "QhAdam", "TrainConfig", "TrainingError", "cross_entropy",
     "evaluate", "fit", "history_to_csv", "lr_at", "mse",
     "DataError", "Dataset", "LooTable", "PreprocessState", "ZscoreStats",

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,51 +29,31 @@ class ConfigError(ValueError):
     """Bad config file or flag combination."""
 
 
-@dataclass
-class RunConfig:
-    """Every tunable the CLI understands, with its default."""
-
-    data: str | None = None
-    schema: str | None = None
-    out: str | None = None
-    task: str = "class"
-    seed: int = 0
-    depth: int = 8
-    k0: int = 5
-    d0: int = 32
-    d1: int = 64
-    dropout: float = 0.1
-    head_hidden: int = 0
-    ghost_size: int = 256
-    batch_size: int = 8192
-    lr0: float = 0.008
-    decay_factor: float = 0.95
-    decay_every: int = 20
-    weight_decay: float = 1e-5
-    nu1: float = 0.8
-    nu2: float = 1.0
-    beta1: float = 0.995
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_epochs: int = 200
-    patience: int = 30
-    valid_frac: float = 0.2
+def _run_keys() -> dict:
+    """Every key the CLI understands, as name -> (type, default): the fields
+    of DANetConfig (but num_classes, which the training data decides) and of
+    TrainConfig, plus the input and output paths and the validation share."""
+    keys = {"data": (str, None), "schema": (str, None), "out": (str, None),
+            "valid_frac": (float, 0.2)}
+    for cls in (DANetConfig, TrainConfig):
+        types = get_type_hints(cls)
+        keys.update((f.name, (types[f.name], f.default)) for f in fields(cls)
+                    if f.name != "num_classes")
+    return keys
 
 
-_FIELD_TYPES = {f.name: (str if f.name in ("data", "schema", "out", "task") else f.type)
-                for f in fields(RunConfig)}
+_KEYS = _run_keys()
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    if kind is str or key in ("data", "schema", "out", "task"):
+    kind = _KEYS[key][0]
+    if kind is str:
         return raw
     try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(
+            f"config key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -85,7 +66,7 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -93,40 +74,35 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """flag > config file > default."""
-    cfg = RunConfig()
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Every key's value: flag > config file > default."""
+    values = {key: default for key, (_, default) in _KEYS.items()}
     if getattr(args, "config", None):
-        for key, val in parse_config_file(args.config).items():
-            setattr(cfg, key, val)
-    for key in _FIELD_TYPES:
+        values.update(parse_config_file(args.config))
+    for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            setattr(cfg, key, flag)
-    return cfg
+            values[key] = flag
+    return argparse.Namespace(**values)
 
 
-def _require(cfg: RunConfig, command: str, *keys: str) -> None:
+def _require(cfg: argparse.Namespace, command: str, *keys: str) -> None:
     for key in keys:
         if getattr(cfg, key) in (None, ""):
             raise ConfigError(f"{command}: --{key} (or config key '{key}') is required")
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg.batch_size, ghost_size=cfg.ghost_size, lr0=cfg.lr0,
-        decay_factor=cfg.decay_factor, decay_every=cfg.decay_every,
-        weight_decay=cfg.weight_decay, nu1=cfg.nu1, nu2=cfg.nu2,
-        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-        max_epochs=cfg.max_epochs, patience=cfg.patience, seed=cfg.seed,
-    )
+def _build(cls, cfg: argparse.Namespace, **given):
+    """``cls`` built from the resolved keys that name its fields, plus ``given``."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in given},
+               **given)
 
 
 def _metric_name(task: str) -> str:
     return "accuracy" if task == "class" else "mse"
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: argparse.Namespace) -> int:
     _require(cfg, "train", "data", "schema", "out")
     schema = read_schema(cfg.schema)
     ds = load_csv(cfg.data, schema, task=cfg.task)
@@ -140,11 +116,9 @@ def cmd_train(cfg: RunConfig) -> int:
     train_set = pp.fit(train_raw)
     valid_set = pp.apply(valid_raw)
 
-    net_cfg = DANetConfig(depth=cfg.depth, k0=cfg.k0, d0=cfg.d0, d1=cfg.d1,
-                          dropout=cfg.dropout, head_hidden=cfg.head_hidden,
-                          task=cfg.task, num_classes=num_classes)
+    net_cfg = _build(DANetConfig, cfg, num_classes=num_classes)
     model = DANet(train_set.n_features, net_cfg, ghost_size=cfg.ghost_size, seed=cfg.seed)
-    result = fit(model, train_set, valid_set, _train_config(cfg))
+    result = fit(model, train_set, valid_set, _build(TrainConfig, cfg))
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -37,6 +37,47 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+class Module:
+    """A node of the parameter tree.
+
+    A subclass lists only its own tensors (``leaves``) and its direct
+    sub-modules (``children``); the walk below composes the dotted names and
+    fixes their order, which the optimizer state, ``DANet.state_dict`` and
+    the model container's tensor order all follow. The names match the keys
+    the backward passes give their gradients.
+    """
+
+    CHILDREN = ()  # attribute names of the sub-modules, in walk order
+
+    def leaves(self):
+        """(name, kind, array) of this node's own tensors; kind "buffer"
+        marks running statistics, every other kind is a trained parameter."""
+        return ()
+
+    def children(self):
+        return [(name, getattr(self, name)) for name in self.CHILDREN]
+
+    def walk(self, prefix: str = ""):
+        """(prefix, module) for this node and every descendant, pre-order."""
+        yield prefix, self
+        for name, child in self.children():
+            yield from child.walk(f"{prefix}{name}.")
+
+    def _leaves(self, buffers: bool):
+        return [(prefix + name, kind, arr) for prefix, module in self.walk()
+                for name, kind, arr in module.leaves() if (kind == "buffer") == buffers]
+
+    def named_params(self):
+        """(name, kind, array) triples; arrays are the live parameters."""
+        return self._leaves(buffers=False)
+
+    def named_buffers(self):
+        return [(name, arr) for name, _, arr in self._leaves(buffers=True)]
+
+    def named_bns(self):
+        return [(prefix[:-1], m) for prefix, m in self.walk() if isinstance(m, GhostBatchNorm)]
+
+
 @dataclass
 class BatchNormCtx:
     bounds: list  # (start, stop) row ranges, one per ghost
@@ -44,7 +85,7 @@ class BatchNormCtx:
     inv_std: list  # per-ghost 1/sqrt(var + eps), each shape (dim,)
 
 
-class GhostBatchNorm:
+class GhostBatchNorm(Module):
     """Batch norm over consecutive ghost sub-batches.
 
     In training mode each ghost of ``ghost_size`` rows (the last one may be
@@ -120,6 +161,11 @@ class GhostBatchNorm:
             dx[s:e] = (inv / n) * (n * dxh - dxh.sum(axis=0) - xh * (dxh * xh).sum(axis=0))
         return dx, dgamma, dbeta
 
+    def leaves(self):
+        return [("gamma", "bn", self.gamma), ("beta", "bn", self.beta),
+                ("running_mean", "buffer", self.running_mean),
+                ("running_var", "buffer", self.running_var)]
+
 
 @dataclass
 class UnitCtx:
@@ -133,7 +179,7 @@ class UnitCtx:
     gated: np.ndarray
 
 
-class AbstractUnit:
+class AbstractUnit(Module):
     """One mask-then-abstract branch.
 
     ``mask_logits`` start at zero so the initial mask is uniform over the
@@ -141,6 +187,8 @@ class AbstractUnit:
     uniform(-a, a) entries, a = sqrt(6 / (in_dim + out_dim)). The linear maps
     carry no bias; the batch-norm shift plays that role.
     """
+
+    CHILDREN = ("bn1", "bn2")
 
     def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: Rng,
                  momentum: float = 0.01, eps: float = 1e-5):
@@ -214,28 +262,9 @@ class AbstractUnit:
         }
         return df, grads
 
-    def named_params(self):
-        """(name, kind, array) triples; arrays are the live parameters."""
-        return [
-            ("mask", "mask", self.mask_logits),
-            ("w1", "weight", self.w1),
-            ("w2", "weight", self.w2),
-            ("bn1.gamma", "bn", self.bn1.gamma),
-            ("bn1.beta", "bn", self.bn1.beta),
-            ("bn2.gamma", "bn", self.bn2.gamma),
-            ("bn2.beta", "bn", self.bn2.beta),
-        ]
-
-    def named_buffers(self):
-        return [
-            ("bn1.running_mean", self.bn1.running_mean),
-            ("bn1.running_var", self.bn1.running_var),
-            ("bn2.running_mean", self.bn2.running_mean),
-            ("bn2.running_var", self.bn2.running_var),
-        ]
-
-    def named_bns(self):
-        return [("bn1", self.bn1), ("bn2", self.bn2)]
+    def leaves(self):
+        return [("mask", "mask", self.mask_logits), ("w1", "weight", self.w1),
+                ("w2", "weight", self.w2)]
 
 
 @dataclass
@@ -245,7 +274,7 @@ class LayerCtx:
     used: bool = field(default=False)
 
 
-class AbstractLayer:
+class AbstractLayer(Module):
     """K parallel abstraction branches fused by elementwise sum."""
 
     def __init__(self, in_dim: int, out_dim: int, branches: int, ghost_size: int,
@@ -287,20 +316,5 @@ class AbstractLayer:
                 grads[f"u{k}.{name}"] = g
         return df, grads
 
-    def named_params(self):
-        out = []
-        for k, unit in enumerate(self.units):
-            out.extend((f"u{k}.{n}", kind, arr) for n, kind, arr in unit.named_params())
-        return out
-
-    def named_buffers(self):
-        out = []
-        for k, unit in enumerate(self.units):
-            out.extend((f"u{k}.{n}", arr) for n, arr in unit.named_buffers())
-        return out
-
-    def named_bns(self):
-        out = []
-        for k, unit in enumerate(self.units):
-            out.extend((f"u{k}.{n}", bn) for n, bn in unit.named_bns())
-        return out
+    def children(self):
+        return [(f"u{k}", unit) for k, unit in enumerate(self.units)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import AbstractLayer, relu
+from .layers import AbstractLayer, Module, relu
 from .numerics import Rng, ShapeError
 
 
@@ -70,9 +70,6 @@ class DANetConfig:
         return self.depth // 2
 
 
-WIDE_CONFIG = dict(k0=8, d0=48, d1=96)  # preset for wide inputs
-
-
 @dataclass
 class HeadCtx:
     z: np.ndarray
@@ -82,7 +79,7 @@ class HeadCtx:
     r1: np.ndarray
 
 
-class MlpHead:
+class MlpHead(Module):
     """Three affine layers with ReLU between: in -> hidden -> hidden -> out."""
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, rng: Rng):
@@ -125,7 +122,7 @@ class MlpHead:
         grads = {"w0": dw0, "b0": db0, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
         return dz, grads
 
-    def named_params(self):
+    def leaves(self):
         return [
             ("w0", "weight", self.w0), ("b0", "bias", self.b0),
             ("w1", "weight", self.w1), ("b1", "bias", self.b1),
@@ -141,11 +138,13 @@ class BlockCtx:
     drop_mask: np.ndarray | None
 
 
-class BasicBlock:
+class BasicBlock(Module):
     """Two chained abstraction layers plus a raw-feature shortcut layer.
 
     out = main2(main1(f_prev)) + dropout(shortcut(x_raw))
     """
+
+    CHILDREN = ("main1", "main2", "shortcut")
 
     def __init__(self, in_dim: int, n_raw: int, cfg: DANetConfig, ghost_size: int, rng: Rng):
         self.in_dim = in_dim
@@ -183,27 +182,6 @@ class BasicBlock:
                 grads[f"{prefix}.{name}"] = g
         return df_prev, dx_raw, grads
 
-    def named_params(self):
-        out = []
-        for prefix, layer in (("main1", self.main1), ("main2", self.main2),
-                              ("shortcut", self.shortcut)):
-            out.extend((f"{prefix}.{n}", kind, arr) for n, kind, arr in layer.named_params())
-        return out
-
-    def named_buffers(self):
-        out = []
-        for prefix, layer in (("main1", self.main1), ("main2", self.main2),
-                              ("shortcut", self.shortcut)):
-            out.extend((f"{prefix}.{n}", arr) for n, arr in layer.named_buffers())
-        return out
-
-    def named_bns(self):
-        out = []
-        for prefix, layer in (("main1", self.main1), ("main2", self.main2),
-                              ("shortcut", self.shortcut)):
-            out.extend((f"{prefix}.{n}", bn) for n, bn in layer.named_bns())
-        return out
-
 
 @dataclass
 class ModelCtx:
@@ -213,7 +191,37 @@ class ModelCtx:
     used: bool = field(default=False)
 
 
-class DANet:
+class Network(Module):
+    """What the live and the compressed network share: the parameter tree
+    (blocks, then the head), the input check and the label rule. Subclasses
+    set ``n_features``, ``config``, ``blocks`` and ``head``."""
+
+    @property
+    def task(self) -> str:
+        return self.config.task
+
+    def children(self):
+        return [(f"block{i}", block) for i, block in enumerate(self.blocks)] + [("head", self.head)]
+
+    def _check_input(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        name = type(self).__name__
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ShapeError(f"{name}: expected (rows, {self.n_features}), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name}: non-finite input")
+        return x
+
+    def predict(self, x) -> np.ndarray:
+        """Class labels (argmax of the logits, ties to the lowest index) or
+        the regression scores as a flat vector."""
+        out = self.scores(x)
+        if self.config.task == "class":
+            return np.argmax(out, axis=1)
+        return out[:, 0]
+
+
+class DANet(Network):
     """Stack of basic blocks plus the MLP head.
 
     ``depth`` main-path abstraction layers means depth/2 blocks; the first
@@ -235,18 +243,6 @@ class DANet:
             self.blocks.append(BasicBlock(in_dim, n_features, config, ghost_size, rng))
             in_dim = config.d0
         self.head = MlpHead(config.d0, config.hidden_width, config.out_dim, rng)
-
-    @property
-    def task(self) -> str:
-        return self.config.task
-
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ShapeError(f"DANet: expected (rows, {self.n_features}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("DANet: non-finite input")
-        return x
 
     def forward(self, x, train: bool = False, rng: Rng | None = None):
         x = self._check_input(x)
@@ -284,33 +280,6 @@ class DANet:
     def scores(self, x) -> np.ndarray:
         """Eval-mode forward: logits (rows, num_classes) or scores (rows, 1)."""
         out, _ = self.forward(x, train=False)
-        return out
-
-    def predict(self, x) -> np.ndarray:
-        """Class labels (argmax of the logits, ties to the lowest index) or
-        the regression scores as a flat vector."""
-        out = self.scores(x)
-        if self.config.task == "class":
-            return np.argmax(out, axis=1)
-        return out[:, 0]
-
-    def named_params(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out.extend((f"block{i}.{n}", kind, arr) for n, kind, arr in block.named_params())
-        out.extend((f"head.{n}", kind, arr) for n, kind, arr in self.head.named_params())
-        return out
-
-    def named_buffers(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out.extend((f"block{i}.{n}", arr) for n, arr in block.named_buffers())
-        return out
-
-    def named_bns(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out.extend((f"block{i}.{n}", bn) for n, bn in block.named_bns())
         return out
 
     def state_dict(self) -> dict:
@@ -352,26 +321,22 @@ def _entmax_flops(n: int) -> int:
     return n * math.ceil(math.log2(n)) + n if n > 1 else 1
 
 
-def _unit_flops(unit) -> int:
-    if hasattr(unit, "mask_logits"):  # live unit: mask projection runs every forward
-        m, d = unit.in_dim, unit.out_dim
-        return _entmax_flops(m) + m + 2 * (2 * d * m) + 2 * (2 * d) + 3 * d
-    m, d = unit.in_dim, unit.out_dim  # compressed: two biased affines + gate
-    return 2 * (2 * d * m + d) + 3 * d
+def _unit_flops(unit, folded: bool) -> int:
+    m, d = unit.in_dim, unit.out_dim
+    flops = 2 * (2 * d * m + d) + 3 * d  # two biased affines, sigmoid, gate product, ReLU
+    if not folded:
+        # the mask projection and product run every forward, and each
+        # eval-mode batch norm costs 2 per feature where a bias costs 1
+        flops += _entmax_flops(m) + m + 2 * d
+    return flops
 
 
-def _layer_flops(layer) -> int:
-    per_unit = [_unit_flops(u) for u in layer.units]
-    return sum(per_unit) + (len(layer.units) - 1) * layer.out_dim
-
-
-def count_flops(model) -> FlopsReport:
-    """Inference cost of one instance for a live or compressed model."""
+def _count(model, folded: bool) -> FlopsReport:
     lines = []
     for i, block in enumerate(model.blocks):
-        lines.append((f"block{i}.main1", _layer_flops(block.main1)))
-        lines.append((f"block{i}.main2", _layer_flops(block.main2)))
-        lines.append((f"block{i}.shortcut", _layer_flops(block.shortcut)))
+        for role, layer in block.children():
+            flops = sum(_unit_flops(u, folded) for u in layer.units)
+            lines.append((f"block{i}.{role}", flops + (len(layer.units) - 1) * layer.out_dim))
         lines.append((f"block{i}.sum", block.main2.out_dim))
     head = model.head
     lines.append(("head.fc0", 2 * head.hidden * head.in_dim + head.hidden))
@@ -382,8 +347,9 @@ def count_flops(model) -> FlopsReport:
     return FlopsReport(lines=lines, total=sum(n for _, n in lines))
 
 
-def _compressed_unit_flops(m: int, d: int) -> int:
-    return 2 * (2 * d * m + d) + 3 * d
+def count_flops(model) -> FlopsReport:
+    """Inference cost of one instance for a live or compressed model."""
+    return _count(model, folded=not isinstance(model, DANet))
 
 
 def count_flops_folded(model) -> FlopsReport:
@@ -392,12 +358,4 @@ def count_flops_folded(model) -> FlopsReport:
     Depends only on shapes, so it works on untrained models too (the actual
     fold requires populated batch-norm statistics; this count does not).
     """
-    lines = []
-    for name, n in count_flops(model).lines:
-        if ".main" in name or ".shortcut" in name:
-            layer = model.blocks[int(name.split(".")[0][len("block"):])]
-            layer = getattr(layer, name.split(".")[1])
-            per_unit = [_compressed_unit_flops(u.in_dim, u.out_dim) for u in layer.units]
-            n = sum(per_unit) + (len(layer.units) - 1) * layer.out_dim
-        lines.append((name, n))
-    return FlopsReport(lines=lines, total=sum(n for _, n in lines))
+    return _count(model, folded=True)

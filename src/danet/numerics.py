@@ -1,4 +1,4 @@
-"""Dense float64 helpers, a seeded random stream, and a finite-difference oracle.
+"""The shape error, a seeded random stream, and a finite-difference oracle.
 
 Matrices throughout the package are plain 2-D numpy arrays (float64,
 row-major); vectors are 1-D. All randomness flows through :class:`Rng`, a
@@ -15,30 +15,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes do not conform."""
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array; reject anything else."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformance check.
-
-    Delegates to numpy's ``@`` (which may parallelize internally but is
-    deterministic for fixed inputs on a fixed build).
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions differ, "
-            f"{a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 class Rng:
@@ -70,13 +46,6 @@ class Rng:
     def child(self, offset: int = 1) -> "Rng":
         """A fresh stream with a derived seed (deterministic, uncorrelated in use)."""
         return Rng(self.seed * 1_000_003 + offset)
-
-
-def gaussian_sample(rng: Rng, n: int) -> np.ndarray:
-    """n iid standard-normal draws from the given stream."""
-    if n < 1:
-        raise ValueError(f"gaussian_sample: n must be >= 1, got {n}")
-    return rng.standard_normal(n)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entmax import entmax15
-from .layers import GhostBatchNorm, relu, sigmoid
-from .network import DANet, DANetConfig, MlpHead
+from .layers import GhostBatchNorm, Module, relu, sigmoid
+from .network import BasicBlock, DANet, DANetConfig, MlpHead, Network
 from .numerics import ShapeError
 
 
@@ -48,7 +48,7 @@ def fold_bn(w_prime: np.ndarray, bn: GhostBatchNorm):
 
 
 @dataclass
-class CompressedUnit:
+class CompressedUnit(Module):
     """One folded branch: relu(sigmoid(x w1s^T + b1s) * (x w2s^T + b2s))."""
 
     w1s: np.ndarray
@@ -68,11 +68,12 @@ class CompressedUnit:
         gate = sigmoid(x @ self.w1s.T + self.b1s)
         return relu(gate * (x @ self.w2s.T + self.b2s))
 
-    def named_tensors(self):
-        return [("w1s", self.w1s), ("b1s", self.b1s), ("w2s", self.w2s), ("b2s", self.b2s)]
+    def leaves(self):
+        return [("w1s", "weight", self.w1s), ("b1s", "bias", self.b1s),
+                ("w2s", "weight", self.w2s), ("b2s", "bias", self.b2s)]
 
 
-class CompressedLayer:
+class CompressedLayer(Module):
     """K folded branches fused by elementwise sum."""
 
     def __init__(self, units: list):
@@ -88,8 +89,13 @@ class CompressedLayer:
             total = total + unit.forward(x)
         return total
 
+    def children(self):
+        return [(f"u{k}", unit) for k, unit in enumerate(self.units)]
 
-class CompressedBlock:
+
+class CompressedBlock(Module):
+    CHILDREN = BasicBlock.CHILDREN
+
     def __init__(self, main1: CompressedLayer, main2: CompressedLayer,
                  shortcut: CompressedLayer):
         self.main1 = main1
@@ -100,7 +106,7 @@ class CompressedBlock:
         return self.main2.forward(self.main1.forward(f_prev)) + self.shortcut.forward(x_raw)
 
 
-class CompressedModel:
+class CompressedModel(Network):
     """Inference-only model producing the same outputs as the source network."""
 
     def __init__(self, n_features: int, config: DANetConfig, blocks: list, head: MlpHead):
@@ -108,18 +114,6 @@ class CompressedModel:
         self.config = config
         self.blocks = blocks
         self.head = head
-
-    @property
-    def task(self) -> str:
-        return self.config.task
-
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ShapeError(f"CompressedModel: expected (rows, {self.n_features}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("CompressedModel: non-finite input")
-        return x
 
     def forward(self, x) -> np.ndarray:
         x = self._check_input(x)
@@ -130,13 +124,8 @@ class CompressedModel:
         return out
 
     def scores(self, x) -> np.ndarray:
+        """The forward output: logits (rows, num_classes) or scores (rows, 1)."""
         return self.forward(x)
-
-    def predict(self, x) -> np.ndarray:
-        out = self.forward(x)
-        if self.config.task == "class":
-            return np.argmax(out, axis=1)
-        return out[:, 0]
 
 
 def compress_unit(unit) -> CompressedUnit:
@@ -155,26 +144,24 @@ def compress_unit(unit) -> CompressedUnit:
     return CompressedUnit(w1s=w1s, b1s=b1s, w2s=w2s, b2s=b2s)
 
 
-def _compress_layer(layer) -> CompressedLayer:
-    return CompressedLayer([compress_unit(u) for u in layer.units])
+def _fold_units(model: DANet, fold) -> CompressedModel:
+    """``model``'s structure with every unit replaced by ``fold(unit)``."""
+    blocks = [CompressedBlock(*(CompressedLayer([fold(u) for u in layer.units])
+                                for _, layer in block.children()))
+              for block in model.blocks]
+    return CompressedModel(n_features=model.n_features, config=copy.deepcopy(model.config),
+                           blocks=blocks, head=copy.deepcopy(model.head))
 
 
 def compress_model(model: DANet) -> CompressedModel:
     """Fold every abstraction layer; the head is copied unchanged."""
-    blocks = []
-    for block in model.blocks:
-        blocks.append(CompressedBlock(
-            main1=_compress_layer(block.main1),
-            main2=_compress_layer(block.main2),
-            shortcut=_compress_layer(block.shortcut),
-        ))
-    return CompressedModel(
-        n_features=model.n_features,
-        config=copy.deepcopy(model.config),
-        blocks=blocks,
-        head=copy.deepcopy(model.head),
-    )
+    return _fold_units(model, compress_unit)
 
 
-def compressed_forward(cmodel: CompressedModel, x) -> np.ndarray:
-    return cmodel.forward(x)
+def compressed_like(model: DANet) -> CompressedModel:
+    """A zero-filled compressed model with the tensor shapes ``model`` folds
+    to, for a loader to fill."""
+    def zeros(unit):
+        return CompressedUnit(w1s=np.zeros_like(unit.w1), b1s=np.zeros(unit.out_dim),
+                              w2s=np.zeros_like(unit.w2), b2s=np.zeros(unit.out_dim))
+    return _fold_units(model, zeros)

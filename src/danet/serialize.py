@@ -17,13 +17,13 @@ Floats inside the manifest are emitted by Python's shortest-round-trip repr
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import LooTable, PreprocessState, ZscoreStats
-from .network import DANet, DANetConfig, MlpHead
-from .reparam import CompressedBlock, CompressedLayer, CompressedModel, CompressedUnit
+from .network import DANet, DANetConfig
+from .reparam import CompressedModel, compressed_like
 
 MAGIC = b"DANET1"
 FORMAT_NAME = "danet-container"
@@ -32,14 +32,6 @@ FORMAT_VERSION = 1
 
 class ContainerError(ValueError):
     """Unreadable or inconsistent model container."""
-
-
-def _config_to_manifest(cfg: DANetConfig) -> dict:
-    return {
-        "depth": cfg.depth, "k0": cfg.k0, "d0": cfg.d0, "d1": cfg.d1,
-        "dropout": cfg.dropout, "head_hidden": cfg.head_hidden,
-        "task": cfg.task, "num_classes": cfg.num_classes,
-    }
 
 
 def _preprocess_to_manifest(pp: PreprocessState | None):
@@ -73,23 +65,9 @@ def _preprocess_from_manifest(entry) -> PreprocessState | None:
     return PreprocessState(loo_tables=tables, zstats=stats, fitted=True)
 
 
-def _model_tensors(model: DANet):
-    out = [(name, arr) for name, _, arr in model.named_params()]
-    out.extend(model.named_buffers())
-    return out
-
-
-def _compressed_tensors(cmodel: CompressedModel):
-    out = []
-    for i, block in enumerate(cmodel.blocks):
-        for lname, layer in (("main1", block.main1), ("main2", block.main2),
-                             ("shortcut", block.shortcut)):
-            for k, unit in enumerate(layer.units):
-                for tname, arr in unit.named_tensors():
-                    out.append((f"block{i}.{lname}.u{k}.{tname}", arr))
-    for name, _, arr in cmodel.head.named_params():
-        out.append((f"head.{name}", arr))
-    return out
+def _tensors(model):
+    """(name, array) in file order: every parameter, then every buffer."""
+    return [(name, arr) for name, _, arr in model.named_params()] + model.named_buffers()
 
 
 def save_model(path, model, feature_names=None, feature_kinds=None,
@@ -97,12 +75,12 @@ def save_model(path, model, feature_names=None, feature_kinds=None,
                target_name: str | None = None) -> None:
     """Write a live or compressed model (plus optional schema/preprocessing)."""
     compressed = isinstance(model, CompressedModel)
-    tensors = _compressed_tensors(model) if compressed else _model_tensors(model)
+    tensors = _tensors(model)
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "compressed": compressed,
-        "config": _config_to_manifest(model.config),
+        "config": asdict(model.config),
         "n_features": model.n_features,
         "ghost_size": getattr(model, "ghost_size", None),
         "target": target_name,
@@ -159,13 +137,12 @@ def load_model(path) -> LoadedModel:
     cfg = DANetConfig(**manifest["config"])
     n_features = int(manifest["n_features"])
     if manifest["compressed"]:
-        model = _build_compressed(cfg, n_features, loaded)
+        model = compressed_like(DANet(n_features, cfg, seed=0))
     else:
         model = DANet(n_features, cfg, ghost_size=int(manifest["ghost_size"]), seed=0)
-        expected = _model_tensors(model)
-        _fill(loaded, expected, path)
         for name, bn in model.named_bns():
             bn.updates = int(manifest["bn_updates"][name])
+    _fill(loaded, _tensors(model), path)
 
     features = manifest.get("features")
     names = [f["name"] for f in features] if features else None
@@ -187,34 +164,3 @@ def _fill(loaded: dict, expected: list, path) -> None:
         arr[...] = loaded[name]
     if len(loaded) != len(expected):
         raise ContainerError(f"{path}: container holds unexpected extra tensors")
-
-
-def _build_compressed(cfg: DANetConfig, n_features: int, loaded: dict) -> CompressedModel:
-    def take(name, ndim):
-        if name not in loaded:
-            raise ContainerError(f"tensor {name!r} missing from container")
-        arr = loaded[name]
-        if arr.ndim != ndim:
-            raise ContainerError(f"tensor {name!r} has ndim {arr.ndim}, expected {ndim}")
-        return arr
-
-    blocks = []
-    in_dim = n_features
-    for i in range(cfg.n_blocks):
-        layers = {}
-        for lname in ("main1", "main2", "shortcut"):
-            units = []
-            for k in range(cfg.k0):
-                prefix = f"block{i}.{lname}.u{k}"
-                units.append(CompressedUnit(
-                    w1s=take(f"{prefix}.w1s", 2), b1s=take(f"{prefix}.b1s", 1),
-                    w2s=take(f"{prefix}.w2s", 2), b2s=take(f"{prefix}.b2s", 1),
-                ))
-            layers[lname] = CompressedLayer(units)
-        blocks.append(CompressedBlock(layers["main1"], layers["main2"], layers["shortcut"]))
-        in_dim = cfg.d0
-    from .numerics import Rng
-    head = MlpHead(cfg.d0, cfg.hidden_width, cfg.out_dim, Rng(0))
-    for name, _, arr in head.named_params():
-        arr[...] = take(f"head.{name}", arr.ndim)
-    return CompressedModel(n_features=n_features, config=cfg, blocks=blocks, head=head)

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: config precedence, the train/eval/
 compress cycle, reports, and exit codes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from danet import DANet, DANetConfig, Rng, load_model, save_model
+from danet import DANet, DANetConfig, Rng, TrainConfig, load_model, save_model
 from danet.cli import ConfigError, build_parser, main, parse_config_file, resolve_config
 
 
@@ -45,6 +47,21 @@ def test_flag_beats_config_beats_default(tmp_path):
     assert cfg.k0 == 3             # config file wins over default
     assert cfg.lr0 == 0.001        # config-file-only key
     assert cfg.d0 == 32            # untouched default
+
+
+def test_defaults_are_the_config_dataclass_defaults():
+    cfg = vars(resolve_config(build_parser().parse_args(["train"])))
+    assert sorted(cfg) == sorted([
+        "data", "schema", "out", "valid_frac", "task", "seed", "depth", "k0", "d0",
+        "d1", "dropout", "head_hidden", "ghost_size", "batch_size", "lr0",
+        "decay_factor", "decay_every", "weight_decay", "nu1", "nu2", "beta1",
+        "beta2", "eps", "max_epochs", "patience"])
+    for defaults in (TrainConfig(), DANetConfig()):
+        for f in fields(defaults):
+            if f.name != "num_classes":
+                assert cfg[f.name] == getattr(defaults, f.name), f.name
+    assert cfg["valid_frac"] == 0.2
+    assert cfg["data"] is cfg["schema"] is cfg["out"] is None
 
 
 def test_synth_writes_csv_and_schema(tmp_path, capsys):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from danet import (ContainerError, DANet, DANetConfig, Rng, ShapeError,
-                   WIDE_CONFIG, count_flops, count_flops_folded,
-                   finite_diff_grad, load_model, save_model)
+                   count_flops, count_flops_folded, finite_diff_grad, load_model,
+                   save_model)
 from danet.network import BasicBlock, MlpHead
 from helpers import grad_check_model, make_small_danet, model_is_stable
 
@@ -23,7 +23,6 @@ def test_config_validation():
     assert DANetConfig(head_hidden=7).hidden_width == 7
     assert DANetConfig(task="rank").out_dim == 1
     assert DANetConfig(task="class", num_classes=5).out_dim == 5
-    assert WIDE_CONFIG == dict(k0=8, d0=48, d1=96)
 
 
 def test_block_forward_matches_manual_composition():

@@ -1,60 +1,9 @@
-"""Matrix helpers, RNG determinism, and the finite-difference oracle."""
+"""RNG determinism and the finite-difference oracle."""
 
 import numpy as np
 import pytest
 
-from danet import Rng, ShapeError, finite_diff_grad, gaussian_sample, matmul
-
-
-def naive_matmul(a, b):
-    # independent oracle: plain triple loop
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = Rng(0)
-    a = rng.standard_normal((5, 7))
-    b = rng.standard_normal((7, 3))
-    assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-12
-
-
-def test_matmul_one_by_one():
-    assert matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-
-def test_matmul_identity():
-    rng = Rng(1)
-    a = rng.standard_normal((4, 4))
-    assert np.array_equal(matmul(a, np.eye(4)), a)
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError) as ei:
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    assert "2x3" in str(ei.value) and "4x5" in str(ei.value)
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_associativity_within_tolerance():
-    rng = Rng(2)
-    a = rng.standard_normal((6, 5))
-    b = rng.standard_normal((5, 8))
-    c = rng.standard_normal((8, 4))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    denom = np.maximum(np.abs(left), np.abs(right)) + 1e-30
-    assert np.max(np.abs(left - right) / denom) <= 1e-10
+from danet import Rng, finite_diff_grad
 
 
 def test_rng_same_seed_same_stream():
@@ -65,20 +14,15 @@ def test_rng_same_seed_same_stream():
 def test_gaussian_sample_frozen_stream():
     # frozen from the documented PCG64 stream; a silent generator change
     # would break every seeded experiment in the package
-    got = gaussian_sample(Rng(42), 3)
+    got = Rng(42).standard_normal(3)
     expected = np.array([0.30471707975443135, -1.0399841062404955, 0.7504511958064572])
     assert np.array_equal(got, expected)
 
 
 def test_gaussian_sample_moments():
-    x = gaussian_sample(Rng(5), 200_000)
+    x = Rng(5).standard_normal(200_000)
     assert abs(float(x.mean())) < 0.01
     assert abs(float(x.std()) - 1.0) < 0.01
-
-
-def test_gaussian_sample_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        gaussian_sample(Rng(0), 0)
 
 
 def test_finite_diff_grad_quadratic():

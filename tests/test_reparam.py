@@ -1,11 +1,13 @@
 """Folding masks and batch norm into affines must preserve the function."""
 
+import json
+
 import numpy as np
 import pytest
 
-from danet import (DANet, DANetConfig, GhostBatchNorm, Rng, ShapeError,
-                   compress_model, compress_unit, fold_bn, fold_mask,
-                   load_model, save_model)
+from danet import (ContainerError, DANet, DANetConfig, GhostBatchNorm, Rng, ShapeError,
+                   compress_model, compress_unit, count_flops, count_flops_folded,
+                   fold_bn, fold_mask, load_model, save_model)
 from danet.layers import AbstractUnit
 
 
@@ -156,3 +158,51 @@ def test_rank_model_compresses_too():
     x = rng.standard_normal((25, 4))
     assert np.max(np.abs(model.scores(x) - cmodel.scores(x))) <= 1e-10
     assert cmodel.predict(x).shape == (25,)
+
+
+def _edit_container(src, dst, edit):
+    """Copy a container, letting ``edit`` change its list of (name, array)
+    tensors; the manifest's tensor directory follows the edit."""
+    magic, line, body = src.read_bytes().split(b"\n", 2)
+    manifest = json.loads(line)
+    tensors, pos = [], 0
+    for entry in manifest["tensors"]:
+        count = int(np.prod(entry["shape"]))
+        arr = np.frombuffer(body[pos:pos + 8 * count], dtype="<f8").reshape(entry["shape"])
+        tensors.append((entry["name"], arr))
+        pos += 8 * count
+    tensors = edit(tensors)
+    manifest["tensors"] = [{"name": n, "shape": list(a.shape)} for n, a in tensors]
+    dst.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n"
+                    + b"".join(a.astype("<f8").tobytes() for _, a in tensors))
+
+
+def test_compressed_container_rejects_wrong_shapes_and_extra_tensors(tmp_path):
+    model, _ = _trained_model(12)
+    good = tmp_path / "c.danet"
+    save_model(good, compress_model(model))
+    bad = tmp_path / "bad.danet"
+
+    # a (1,) bias would broadcast over the layer's width and shift every score
+    _edit_container(good, bad, lambda ts: [(n, a[:1] if n == "block0.main1.u0.b1s" else a)
+                                           for n, a in ts])
+    with pytest.raises(ContainerError, match="block0.main1.u0.b1s.*shape"):
+        load_model(bad)
+
+    _edit_container(good, bad, lambda ts: ts + [("block0.main1.u9.b1s", np.zeros(4))])
+    with pytest.raises(ContainerError, match="extra"):
+        load_model(bad)
+
+    _edit_container(good, bad, lambda ts: ts)  # the copy itself loads
+    assert load_model(bad).manifest["compressed"] is True
+
+
+def test_folded_flop_count_is_the_compressed_model_count():
+    rng = Rng(13)
+    for depth, k0, d0, d1, n_features in ((2, 1, 3, 3, 1), (4, 2, 4, 5, 6),
+                                          (6, 3, 7, 2, 9), (8, 5, 32, 64, 11)):
+        cfg = DANetConfig(depth=depth, k0=k0, d0=d0, d1=d1)
+        model = DANet(n_features, cfg, ghost_size=8, seed=rng.child(depth))
+        for _ in range(2):
+            model.forward(rng.standard_normal((16, n_features)), train=True, rng=rng)
+        assert count_flops(compress_model(model)).lines == count_flops_folded(model).lines
