@@ -102,7 +102,8 @@ def _metric_name(task: str) -> str:
     return "accuracy" if task == "class" else "mse"
 
 
-def cmd_train(cfg: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> int:
+    cfg = resolve_config(args)
     _require(cfg, "train", "data", "schema", "out")
     schema = read_schema(cfg.schema)
     ds = load_csv(cfg.data, schema, task=cfg.task)
@@ -189,12 +190,10 @@ def cmd_mask_report(args: argparse.Namespace) -> int:
     if isinstance(model, CompressedModel):
         raise ConfigError("mask-report: masks are folded away in a compressed model")
     names = bundle.feature_names or [f"f{i}" for i in range(model.n_features)]
-    rows = []
-    for k, unit in enumerate(model.blocks[0].main1.units):
-        rows.append((f"block0.main1.u{k}", unit))
-    for i, block in enumerate(model.blocks):
-        for k, unit in enumerate(block.shortcut.units):
-            rows.append((f"block{i}.shortcut.u{k}", unit))
+    # the units that read the raw features, in walk order
+    raw = {id(u) for layer in [model.blocks[0].main1] + [b.shortcut for b in model.blocks]
+           for u in layer.units}
+    rows = [(prefix[:-1], unit) for prefix, unit in model.walk() if id(unit) in raw]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["mask"] + list(names)) + "\n")
         for label, unit in rows:
@@ -242,36 +241,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--depth", type=int, help="main-path abstraction layers (even)")
-        p.add_argument("--k0", type=int, help="branches per abstraction layer")
-        p.add_argument("--d0", type=int, help="block output width")
-        p.add_argument("--d1", type=int, help="intra-block width")
-        p.add_argument("--dropout", type=float, help="shortcut dropout rate")
-        p.add_argument("--task", choices=["class", "rank"])
-        p.add_argument("--data", help="training CSV")
-        p.add_argument("--schema", help="schema file (column=kind lines)")
-        p.add_argument("--out", help="output directory")
-
     p_train = sub.add_parser("train", help="train a model end to end")
-    add_run_flags(p_train)
+    p_train.set_defaults(run=cmd_train)
+    p_train.add_argument("--config", help="flat key = value config file")
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--depth", type=int, help="main-path abstraction layers (even)")
+    p_train.add_argument("--k0", type=int, help="branches per abstraction layer")
+    p_train.add_argument("--d0", type=int, help="block output width")
+    p_train.add_argument("--d1", type=int, help="intra-block width")
+    p_train.add_argument("--dropout", type=float, help="shortcut dropout rate")
+    p_train.add_argument("--task", choices=["class", "rank"])
+    p_train.add_argument("--data", help="training CSV")
+    p_train.add_argument("--schema", help="schema file (column=kind lines)")
+    p_train.add_argument("--out", help="output directory")
 
     p_eval = sub.add_parser("eval", help="score a saved model on a CSV")
+    p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--schema", help="override the schema stored in the container")
 
     p_comp = sub.add_parser("compress", help="fold masks and batch norm into affine maps")
+    p_comp.set_defaults(run=cmd_compress)
     p_comp.add_argument("--model", required=True)
     p_comp.add_argument("--out", required=True)
 
     p_mask = sub.add_parser("mask-report", help="CSV of the first-level feature masks")
+    p_mask.set_defaults(run=cmd_mask_report)
     p_mask.add_argument("--model", required=True)
     p_mask.add_argument("--out", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
+    p_synth.set_defaults(run=cmd_synth)
     p_synth.add_argument("--formula", type=int, choices=[1, 2, 3, 4], required=True)
     p_synth.add_argument("--n", type=int, default=7000)
     p_synth.add_argument("--seed", type=int, default=0)
@@ -281,32 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the matching schema file")
 
     p_flops = sub.add_parser("flops", help="per-layer inference cost")
+    p_flops.set_defaults(run=cmd_flops)
     p_flops.add_argument("--model", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(resolve_config(args))
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "compress":
-            return cmd_compress(args)
-        if args.command == "mask-report":
-            return cmd_mask_report(args)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "flops":
-            return cmd_flops(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ConfigError, ContainerError, DataError, TrainingError, ValueError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ class Dataset:
     """Feature matrix plus targets and per-column metadata.
 
     ``cat_raw`` holds the raw string values of categorical columns until the
-    leave-one-out encoder replaces them with numeric codes; ``encoded`` flips
-    to True once every column is numeric and finite.
+    leave-one-out encoder replaces them with numeric codes; ``encoded`` is
+    True once none are left.
     """
 
     features: np.ndarray
@@ -37,7 +37,6 @@ class Dataset:
     kinds: list
     task: str
     cat_raw: dict = field(default_factory=dict)
-    encoded: bool = True
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -48,6 +47,10 @@ class Dataset:
             raise DataError("Dataset: names/kinds do not match feature count")
         if self.task not in ("class", "rank"):
             raise DataError(f"Dataset: task must be 'class' or 'rank', got {self.task!r}")
+
+    @property
+    def encoded(self) -> bool:
+        return not self.cat_raw
 
     @property
     def n_rows(self) -> int:
@@ -66,7 +69,6 @@ class Dataset:
             kinds=list(self.kinds),
             task=self.task,
             cat_raw={j: [vals[i] for i in idx] for j, vals in self.cat_raw.items()},
-            encoded=self.encoded,
         )
 
 
@@ -169,7 +171,7 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
         targets = targets_f
 
     return Dataset(features=features, targets=targets, names=names, kinds=kinds,
-                   task=task, cat_raw=cat_raw, encoded=not cat_raw)
+                   task=task, cat_raw=cat_raw)
 
 
 @dataclass
@@ -286,7 +288,7 @@ class PreprocessState:
         if not np.all(np.isfinite(x)):
             raise DataError("preprocessing produced non-finite values")
         return Dataset(features=x, targets=ds.targets.copy(), names=list(ds.names),
-                       kinds=list(ds.kinds), task=ds.task, cat_raw={}, encoded=True)
+                       kinds=list(ds.kinds), task=ds.task)
 
 
 def stratified_split(ds: Dataset, frac: float = 0.2, seed: int = 0):

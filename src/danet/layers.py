@@ -42,9 +42,9 @@ class Module:
 
     A subclass lists only its own tensors (``leaves``) and its direct
     sub-modules (``children``); the walk below composes the dotted names and
-    fixes their order, which the optimizer state, ``DANet.state_dict`` and
-    the model container's tensor order all follow. The names match the keys
-    the backward passes give their gradients.
+    fixes their order, which the optimizer state, ``DANet.state_dict``, the
+    model container's tensor order and the backward passes' gradient dicts
+    (through ``named_grads``) all follow.
     """
 
     CHILDREN = ()  # attribute names of the sub-modules, in walk order
@@ -76,6 +76,18 @@ class Module:
 
     def named_bns(self):
         return [(prefix[:-1], m) for prefix, m in self.walk() if isinstance(m, GhostBatchNorm)]
+
+    def named_grads(self, own: dict, *child_grads: dict) -> dict:
+        """This node's gradient dict, keyed and ordered as ``named_params``.
+
+        ``own`` maps the names of this node's trained leaves to their
+        gradients; ``child_grads`` holds one such (already named) dict per
+        child, in ``children()`` order.
+        """
+        grads = {name: own[name] for name, kind, _ in self.leaves() if kind != "buffer"}
+        for (name, _), sub in zip(self.children(), child_grads, strict=True):
+            grads.update((f"{name}.{key}", g) for key, g in sub.items())
+        return grads
 
 
 @dataclass
@@ -210,13 +222,10 @@ class AbstractUnit(Module):
         mask = entmax15(self.mask_logits)
         return mask, f * mask.probs
 
-    def abstract(self, f_prime: np.ndarray, train: bool):
-        """Gated abstraction of already-masked features.
-
-        q = sigmoid(BN1(f' W1^T)) gates BN2(f' W2^T); ReLU on the product.
-        Returns (out, pieces) where pieces feed the unit context in training
-        mode and is None in eval mode.
-        """
+    def forward(self, f: np.ndarray, train: bool):
+        """q = sigmoid(BN1(f' W1^T)) gates BN2(f' W2^T), f' the masked
+        features; ReLU on the product."""
+        mask, f_prime = self.select(f)
         a1 = f_prime @ self.w1.T
         h1, bn1_ctx = self.bn1.forward(a1, train)
         q = sigmoid(h1)
@@ -226,19 +235,11 @@ class AbstractUnit(Module):
         out = relu(gated)
         if not train:
             return out, None
-        return out, (bn1_ctx, bn2_ctx, q, h2, gated)
-
-    def forward(self, f: np.ndarray, train: bool):
-        mask, f_prime = self.select(f)
-        out, pieces = self.abstract(f_prime, train)
-        if not train:
-            return out, None
-        bn1_ctx, bn2_ctx, q, h2, gated = pieces
         return out, UnitCtx(f=f, mask=mask, f_prime=f_prime, bn1_ctx=bn1_ctx,
                             bn2_ctx=bn2_ctx, q=q, h2=h2, gated=gated)
 
     def backward(self, ctx: UnitCtx, dout: np.ndarray):
-        """Returns (df, grads) with grads keyed by local parameter name."""
+        """Returns (df, grads) with grads keyed like ``named_params``."""
         dgated = np.where(ctx.gated > 0.0, dout, 0.0)
         dq = dgated * ctx.h2
         dh2 = dgated * ctx.q
@@ -251,16 +252,8 @@ class AbstractUnit(Module):
         df = df_prime * ctx.mask.probs
         dmask = (df_prime * ctx.f).sum(axis=0)
         dlogits = entmax15_backward(ctx.mask, dmask)
-        grads = {
-            "mask": dlogits,
-            "w1": dw1,
-            "w2": dw2,
-            "bn1.gamma": dg1,
-            "bn1.beta": db1,
-            "bn2.gamma": dg2,
-            "bn2.beta": db2,
-        }
-        return df, grads
+        return df, self.named_grads({"mask": dlogits, "w1": dw1, "w2": dw2},
+                                    {"gamma": dg1, "beta": db1}, {"gamma": dg2, "beta": db2})
 
     def leaves(self):
         return [("mask", "mask", self.mask_logits), ("w1", "weight", self.w1),
@@ -298,8 +291,8 @@ class AbstractLayer(Module):
         return total, LayerCtx(owner=self, unit_ctxs=ctxs)
 
     def backward(self, ctx: LayerCtx, dout: np.ndarray):
-        """Returns (df, grads) with grads keyed u{k}.<param>. The context is
-        consumed: reusing it, or passing one from another layer, raises."""
+        """Returns (df, grads), grads keyed like ``named_params``. The context
+        is consumed: reusing it, or passing one from another layer, raises."""
         if ctx is None:
             raise RuntimeError("AbstractLayer.backward: no context (forward ran in eval mode?)")
         if ctx.owner is not self:
@@ -308,13 +301,12 @@ class AbstractLayer(Module):
             raise RuntimeError("AbstractLayer.backward: context already consumed")
         ctx.used = True
         df = np.zeros((dout.shape[0], self.in_dim))
-        grads = {}
-        for k, (unit, uctx) in enumerate(zip(self.units, ctx.unit_ctxs)):
+        unit_grads = []
+        for unit, uctx in zip(self.units, ctx.unit_ctxs):
             dfu, ug = unit.backward(uctx, dout)
             df += dfu
-            for name, g in ug.items():
-                grads[f"u{k}.{name}"] = g
-        return df, grads
+            unit_grads.append(ug)
+        return df, self.named_grads({}, *unit_grads)
 
     def children(self):
         return [(f"u{k}", unit) for k, unit in enumerate(self.units)]

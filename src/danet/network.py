@@ -119,8 +119,8 @@ class MlpHead(Module):
         dw0 = da0.T @ ctx.z
         db0 = da0.sum(axis=0)
         dz = da0 @ self.w0
-        grads = {"w0": dw0, "b0": db0, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-        return dz, grads
+        return dz, self.named_grads({"w0": dw0, "b0": db0, "w1": dw1, "b1": db1,
+                                     "w2": dw2, "b2": db2})
 
     def leaves(self):
         return [
@@ -176,11 +176,7 @@ class BasicBlock(Module):
         dx_raw, sg = self.shortcut.backward(ctx.shortcut_ctx, ds)
         dm1, g2 = self.main2.backward(ctx.main2_ctx, dout)
         df_prev, g1 = self.main1.backward(ctx.main1_ctx, dm1)
-        grads = {}
-        for prefix, gs in (("main1", g1), ("main2", g2), ("shortcut", sg)):
-            for name, g in gs.items():
-                grads[f"{prefix}.{name}"] = g
-        return df_prev, dx_raw, grads
+        return df_prev, dx_raw, self.named_grads({}, g1, g2, sg)
 
 
 @dataclass
@@ -264,18 +260,15 @@ class DANet(Network):
         if ctx.used:
             raise RuntimeError("DANet.backward: context already consumed")
         ctx.used = True
-        grads = {}
         df, head_grads = self.head.backward(ctx.head_ctx, dout)
-        for name, g in head_grads.items():
-            grads[f"head.{name}"] = g
         dx = np.zeros_like(ctx.x)
-        for i in range(len(self.blocks) - 1, -1, -1):
-            df, dx_raw, bg = self.blocks[i].backward(ctx.block_ctxs[i], df)
+        block_grads = []
+        for block, bctx in zip(reversed(self.blocks), reversed(ctx.block_ctxs)):
+            df, dx_raw, bg = block.backward(bctx, df)
             dx += dx_raw
-            for name, g in bg.items():
-                grads[f"block{i}.{name}"] = g
+            block_grads.append(bg)
         dx += df  # the first block's f_prev is the raw input itself
-        return dx, grads
+        return dx, self.named_grads({}, *reversed(block_grads), head_grads)
 
     def scores(self, x) -> np.ndarray:
         """Eval-mode forward: logits (rows, num_classes) or scores (rows, 1)."""

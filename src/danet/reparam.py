@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entmax import entmax15
-from .layers import GhostBatchNorm, Module, relu, sigmoid
+from .layers import AbstractLayer, GhostBatchNorm, Module, relu, sigmoid
 from .network import BasicBlock, DANet, DANetConfig, MlpHead, Network
 from .numerics import ShapeError
 
@@ -89,8 +89,7 @@ class CompressedLayer(Module):
             total = total + unit.forward(x)
         return total
 
-    def children(self):
-        return [(f"u{k}", unit) for k, unit in enumerate(self.units)]
+    children = AbstractLayer.children  # branch k is named u{k}, as in the live layer
 
 
 class CompressedBlock(Module):
@@ -130,7 +129,7 @@ class CompressedModel(Network):
 
 def compress_unit(unit) -> CompressedUnit:
     """Fold one live unit. Requires populated BN running statistics."""
-    for label, bn in (("bn1", unit.bn1), ("bn2", unit.bn2)):
+    for label, bn in unit.children():
         if bn.updates < 1:
             raise ValueError(
                 f"compress_unit: {label} running statistics are unpopulated; "

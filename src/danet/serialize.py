@@ -16,7 +16,9 @@ Floats inside the manifest are emitted by Python's shortest-round-trip repr
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -113,6 +115,9 @@ class LoadedModel:
 
 
 def load_model(path) -> LoadedModel:
+    """Read a container written by ``save_model``. Any fault in it raises
+    ``ContainerError``; the model is built from manifest values only, so a
+    wrong key, type or value there is reported as one."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != MAGIC:
@@ -121,46 +126,47 @@ def load_model(path) -> LoadedModel:
             manifest = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ContainerError(f"{path}: unreadable manifest: {e}") from None
-        if manifest.get("format") != FORMAT_NAME or manifest.get("version") != FORMAT_VERSION:
+        if (not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME
+                or manifest.get("version") != FORMAT_VERSION):
             raise ContainerError(f"{path}: unsupported container format/version")
-        loaded = {}
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ContainerError(f"{path}: truncated tensor data at {entry['name']!r}")
-            loaded[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ContainerError(f"{path}: trailing bytes after tensor data")
-
-    cfg = DANetConfig(**manifest["config"])
-    n_features = int(manifest["n_features"])
-    if manifest["compressed"]:
-        model = compressed_like(DANet(n_features, cfg, seed=0))
-    else:
-        model = DANet(n_features, cfg, ghost_size=int(manifest["ghost_size"]), seed=0)
-        for name, bn in model.named_bns():
-            bn.updates = int(manifest["bn_updates"][name])
-    _fill(loaded, _tensors(model), path)
-
-    features = manifest.get("features")
-    names = [f["name"] for f in features] if features else None
-    kinds = [f["kind"] for f in features] if features else None
-    return LoadedModel(model=model, feature_names=names, feature_kinds=kinds,
-                       preprocess=_preprocess_from_manifest(manifest.get("preprocess")),
-                       manifest=manifest)
-
-
-def _fill(loaded: dict, expected: list, path) -> None:
-    for name, arr in expected:
-        if name not in loaded:
-            raise ContainerError(f"{path}: tensor {name!r} missing from container")
-        if loaded[name].shape != arr.shape:
+        try:
+            cfg = DANetConfig(**manifest["config"])
+            n_features = int(manifest["n_features"])
+            if manifest["compressed"]:
+                model = compressed_like(DANet(n_features, cfg, seed=0))
+            else:
+                model = DANet(n_features, cfg, ghost_size=int(manifest["ghost_size"]), seed=0)
+                for name, bn in model.named_bns():
+                    bn.updates = int(manifest["bn_updates"][name])
+            features = manifest.get("features")
+            names = [f["name"] for f in features] if features else None
+            kinds = [f["kind"] for f in features] if features else None
+            preprocess = _preprocess_from_manifest(manifest.get("preprocess"))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ContainerError(
-                f"{path}: tensor {name!r} has shape {loaded[name].shape}, "
-                f"expected {arr.shape}"
-            )
-        arr[...] = loaded[name]
-    if len(loaded) != len(expected):
+                f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
+        _fill(fh, manifest.get("tensors"), _tensors(model), path)
+    return LoadedModel(model=model, feature_names=names, feature_kinds=kinds,
+                       preprocess=preprocess, manifest=manifest)
+
+
+def _fill(fh, directory, expected: list, path) -> None:
+    """Read the tensor bytes into the ``(name, array)`` pairs of ``expected``.
+    The directory must list exactly those tensors, in order and with their
+    shapes; each one's size is checked against the bytes left in the file
+    before it is read."""
+    if not isinstance(directory, list):
+        raise ContainerError(f"{path}: manifest 'tensors' is not a list")
+    if len(directory) > len(expected):
         raise ContainerError(f"{path}: container holds unexpected extra tensors")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    for (name, arr), entry in itertools.zip_longest(expected, directory):
+        if entry != {"name": name, "shape": list(arr.shape)}:
+            raise ContainerError(f"{path}: tensor directory lists {entry!r} where "
+                                 f"{name!r} with shape {list(arr.shape)} belongs")
+        if arr.nbytes > left:
+            raise ContainerError(f"{path}: truncated tensor data at {name!r}")
+        arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
+        left -= arr.nbytes
+    if left:
+        raise ContainerError(f"{path}: trailing bytes after tensor data")

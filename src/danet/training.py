@@ -181,6 +181,8 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
     n = train_set.features.shape[0]
     if n < 1:
         raise TrainingError("fit: empty training set")
+    if valid_set.n_rows < 1:
+        raise TrainingError("fit: empty validation set (raise the validation fraction)")
     rng = Rng(cfg.seed)
     opt = QhAdam(model.named_params(), cfg)
     task = model.task

@@ -242,6 +242,20 @@ def test_unknown_config_key_fails_the_run(tmp_path, capsys):
     assert code == 1 and "unknown config key" in err
 
 
+def test_train_rejects_a_validation_split_that_rounds_to_zero(tmp_path, capsys):
+    data, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+    assert main(["synth", "--formula", "1", "--n", "40", "--seed", "2", "--task", "class",
+                 "--out", str(data), "--schema-out", str(schema)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("valid_frac = 0.01\ndepth = 2\nk0 = 1\nd0 = 2\nd1 = 2\n"
+                   "ghost_size = 8\nbatch_size = 16\nmax_epochs = 2\n", encoding="utf-8")
+    capsys.readouterr()
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(data),
+                       "--schema", str(schema), "--out", str(tmp_path / "run"))
+    assert code == 1 and err.startswith("error:") and "empty validation set" in err
+    assert not (tmp_path / "run" / "model.danet").exists()
+
+
 def test_missing_files_exit_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--model", str(tmp_path / "nope.danet"),
                        "--data", str(tmp_path / "nope.csv"))

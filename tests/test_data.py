@@ -154,7 +154,7 @@ def test_preprocess_zscore_covers_encoded_categoricals():
     ds = Dataset(features=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
                  targets=np.array([1.0, 2.0, 3.0]),
                  names=["num", "cat"], kinds=["continuous", "categorical"],
-                 task="rank", cat_raw={1: ["x", "y", "x"]}, encoded=False)
+                 task="rank", cat_raw={1: ["x", "y", "x"]})
     pp = PreprocessState()
     out = pp.fit(ds)
     assert list(pp.zstats.cols) == [0]
@@ -261,7 +261,7 @@ def test_write_csv_round_trips_exactly(tmp_path):
 def test_write_csv_categorical_and_collision(tmp_path):
     ds = Dataset(features=np.array([[1.5, 0.0]]), targets=np.array([1]),
                  names=["num", "cat"], kinds=["continuous", "categorical"],
-                 task="class", cat_raw={1: ["hello, world"]}, encoded=False)
+                 task="class", cat_raw={1: ["hello, world"]})
     path = tmp_path / "c.csv"
     write_csv(ds, path, target_name="y")
     text = path.read_text()
@@ -282,7 +282,7 @@ def test_dataset_validation_and_subset():
                 kinds=["continuous", "continuous"], task="rank")
     ds = Dataset(features=np.arange(6.0).reshape(3, 2), targets=np.array([1., 2., 3.]),
                  names=["a", "b"], kinds=["continuous"] * 2, task="rank",
-                 cat_raw={1: ["x", "y", "z"]}, encoded=False)
+                 cat_raw={1: ["x", "y", "z"]})
     sub = ds.subset([2, 0])
     assert np.array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
     assert sub.cat_raw == {1: ["z", "x"]}

@@ -1,6 +1,8 @@
 """Block wiring, full-model gradients, prediction, cost counting, and the
 container round trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,26 @@ def test_model_gradients_match_finite_differences():
         ok, named, worst, err, bound = grad_check_model(model, x)
         assert ok, f"{named[0][0]}...: worst err {err:.3g} > bound {bound:.3g}"
         checked += 1
+
+
+@pytest.mark.parametrize("n_features, cfg", [
+    (3, DANetConfig(depth=2, k0=1, d0=2, d1=3)),
+    (5, DANetConfig(depth=4, k0=2, d0=3, d1=2, head_hidden=5, task="rank")),
+    (4, DANetConfig(depth=6, k0=3, d0=2, d1=4, num_classes=3)),
+])
+def test_backward_grads_are_keyed_and_ordered_like_named_params(n_features, cfg):
+    def names(module):
+        return [n for n, _, _ in module.named_params()]
+
+    rng = Rng(cfg.depth)
+    model = DANet(n_features, cfg, ghost_size=4, seed=cfg.k0)
+    out, ctx = model.forward(rng.standard_normal((8, n_features)), train=True, rng=rng)
+    _, grads = model.backward(ctx, np.ones_like(out))
+    assert list(grads) == names(model)
+    for module in (model.blocks[-1].main1, model.blocks[0].shortcut, model.head):
+        out, ctx = module.forward(rng.standard_normal((8, module.in_dim)), train=True)
+        _, grads = module.backward(ctx, np.ones_like(out))
+        assert list(grads) == names(module)
 
 
 def test_input_gradient_matches_finite_differences():
@@ -260,6 +282,45 @@ def test_container_rejects_tampering(tmp_path):
     bad.write_bytes(raw[:nl + 1] + b"{not json}\n" + raw[nl + 1:])
     with pytest.raises(ContainerError):
         load_model(bad)
+
+
+def _without(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
+def _first_shape(shape):
+    def edit(m):
+        m["tensors"][0]["shape"] = shape
+        return m
+    return edit
+
+
+def _config_with(**extra):
+    def edit(m):
+        m["config"].update(extra)
+        return m
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _config_with(bogus=1),                                    # unknown config key
+    _without("config"),
+    _without("bn_updates"),
+    lambda m: {**m, "tensors": {"block0.main1.u0.mask": [3]}},  # tensors not a list
+    lambda m: [m],                                            # manifest a JSON list
+    _first_shape([-1, 3]),                                    # negative dimension
+    _first_shape([2 ** 20, 2 ** 20]),                         # huge shape: 8 TiB
+    _config_with(depth=3),                                    # config that fails validation
+], ids=["unknown-config-key", "no-config", "no-bn-updates", "tensors-not-a-list",
+        "manifest-a-list", "negative-dimension", "huge-shape", "invalid-config"])
+def test_malformed_manifest_raises_container_error(tmp_path, edit):
+    path = tmp_path / "m.danet"
+    save_model(path, DANet(3, DANetConfig(depth=2, k0=1, d0=2, d1=2), seed=24))
+    magic, line, tensors = path.read_bytes().split(b"\n", 2)
+    manifest = edit(json.loads(line))
+    path.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + tensors)
+    with pytest.raises(ContainerError):
+        load_model(path)
 
 
 def test_container_keeps_float_precision(tmp_path):

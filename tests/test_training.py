@@ -5,7 +5,7 @@ import pytest
 
 from danet import (DANet, DANetConfig, Dataset, FitResult, QhAdam, Rng,
                    TrainConfig, TrainingError, cross_entropy, evaluate,
-                   finite_diff_grad, fit, history_to_csv, lr_at, mse)
+                   finite_diff_grad, fit, history_to_csv, lr_at, mse, stratified_split)
 from danet.training import _bias_adj
 from helpers import make_small_danet
 
@@ -276,6 +276,16 @@ def test_fit_aborts_on_non_finite_loss():
     with np.errstate(over="ignore"):
         with pytest.raises(TrainingError, match="non-finite"):
             fit(model, train, valid, tcfg)
+
+
+def test_fit_rejects_an_empty_validation_set():
+    # a 1% split of 40 rows rounds to no validation rows at all
+    data, _ = _toy_sets(Rng(21))
+    train, valid = stratified_split(data, frac=0.01, seed=0)
+    assert valid.n_rows == 0
+    tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=2, seed=22)
+    with pytest.raises(TrainingError, match="empty validation set"):
+        fit(_toy_model(23), train, valid, tcfg)
 
 
 def test_small_steps_reduce_training_loss_on_most_seeds():
