@@ -16,8 +16,8 @@ from .reparam import (CompressedLayer, CompressedModel, CompressedUnit,
 from .training import (FitResult, QhAdam, TrainConfig, TrainingError,
                        cross_entropy, evaluate, fit, history_to_csv, lr_at, mse)
 from .data import (DataError, Dataset, LooTable, PreprocessState, ZscoreStats,
-                   load_csv, loo_encode, read_schema, stratified_split,
-                   synth_generate, write_csv, zscore)
+                   load_csv, read_schema, stratified_split, synth_generate,
+                   write_csv)
 from .serialize import ContainerError, LoadedModel, load_model, save_model
 
 __version__ = "0.1.0"
@@ -33,8 +33,8 @@ __all__ = [
     "FitResult", "QhAdam", "TrainConfig", "TrainingError", "cross_entropy",
     "evaluate", "fit", "history_to_csv", "lr_at", "mse",
     "DataError", "Dataset", "LooTable", "PreprocessState", "ZscoreStats",
-    "load_csv", "loo_encode", "read_schema", "stratified_split",
-    "synth_generate", "write_csv", "zscore",
+    "load_csv", "read_schema", "stratified_split", "synth_generate",
+    "write_csv",
     "ContainerError", "LoadedModel", "load_model", "save_model",
     "__version__",
 ]

@@ -2,10 +2,9 @@
 
 CSV input follows RFC 4180 with a header row (stdlib csv module). A schema
 file assigns every column a kind: ``name=continuous``, ``name=categorical``,
-or ``name=target`` (exactly one target). Categorical columns are leave-one-out
-encoded against the training targets; continuous columns are z-scored with
-training statistics. Near-constant columns (std below 1e-12) become zeros
-rather than dividing by noise.
+or ``name=target`` (exactly one target). ``PreprocessState`` leave-one-out
+encodes the categorical columns against the training targets and z-scores the
+continuous ones with training statistics.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ class DataError(ValueError):
 class Dataset:
     """Feature matrix plus targets and per-column metadata.
 
-    ``cat_raw`` holds the raw string values of categorical columns until the
-    leave-one-out encoder replaces them with numeric codes; ``encoded`` is
-    True once none are left.
+    ``cat_raw`` maps a categorical column's index to its raw string values,
+    one per row, until ``PreprocessState`` replaces them with numeric codes.
     """
 
     features: np.ndarray
@@ -47,10 +45,13 @@ class Dataset:
             raise DataError("Dataset: names/kinds do not match feature count")
         if self.task not in ("class", "rank"):
             raise DataError(f"Dataset: task must be 'class' or 'rank', got {self.task!r}")
-
-    @property
-    def encoded(self) -> bool:
-        return not self.cat_raw
+        for j, vals in self.cat_raw.items():
+            if not (isinstance(j, (int, np.integer)) and 0 <= j < self.n_features
+                    and self.kinds[j] == "categorical"):
+                raise DataError(f"Dataset: cat_raw key {j!r} is not a categorical column index")
+            if len(vals) != self.n_rows:
+                raise DataError(f"Dataset: cat_raw[{j}] holds {len(vals)} values for "
+                                f"{self.n_rows} rows")
 
     @property
     def n_rows(self) -> int:
@@ -182,44 +183,6 @@ class LooTable:
     global_mean: float
 
 
-def loo_encode(values, targets=None, mode: str = "fit", table: LooTable | None = None):
-    """Leave-one-out encode one categorical column.
-
-    fit:   code for a row is the mean target of the other rows sharing its
-           category ((sum - own) / (count - 1)); singleton categories fall
-           back to the global target mean. Returns (codes, table) where the
-           table maps each category to its full in-sample mean.
-    apply: codes come straight from the table; unseen categories get the
-           global mean. Returns (codes, table).
-    """
-    values = list(values)
-    if mode == "fit":
-        if targets is None:
-            raise DataError("loo_encode: fit mode needs targets")
-        t = np.asarray(targets, dtype=np.float64)
-        if len(values) != t.shape[0]:
-            raise DataError("loo_encode: values and targets lengths differ")
-        sums: dict = {}
-        counts: dict = {}
-        for v, y in zip(values, t):
-            sums[v] = sums.get(v, 0.0) + float(y)
-            counts[v] = counts.get(v, 0) + 1
-        global_mean = float(t.mean())
-        codes = np.empty(len(values))
-        for r, (v, y) in enumerate(zip(values, t)):
-            c = counts[v]
-            codes[r] = (sums[v] - float(y)) / (c - 1) if c > 1 else global_mean
-        table = LooTable(means={v: sums[v] / counts[v] for v in sums},
-                         global_mean=global_mean)
-        return codes, table
-    if mode == "apply":
-        if table is None:
-            raise DataError("loo_encode: apply mode needs a fitted table")
-        codes = np.array([table.means.get(v, table.global_mean) for v in values])
-        return codes, table
-    raise DataError(f"loo_encode: mode must be 'fit' or 'apply', got {mode!r}")
-
-
 @dataclass
 class ZscoreStats:
     mean: np.ndarray
@@ -227,64 +190,58 @@ class ZscoreStats:
     cols: np.ndarray  # indices of the columns the stats apply to
 
 
-def zscore(features: np.ndarray, cols, mode: str = "fit",
-           stats: ZscoreStats | None = None):
-    """Normalize the given columns to zero mean / unit variance.
-
-    Columns whose training std falls below 1e-12 are mapped to zero instead
-    of being divided by noise. Returns (normalized copy, stats).
-    """
-    x = np.array(features, dtype=np.float64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if mode == "fit":
-        mean = x[:, cols].mean(axis=0)
-        std = x[:, cols].std(axis=0)
-        stats = ZscoreStats(mean=mean, std=std, cols=cols)
-    elif mode != "apply":
-        raise DataError(f"zscore: mode must be 'fit' or 'apply', got {mode!r}")
-    if stats is None:
-        raise DataError("zscore: apply mode needs fitted stats")
-    live = stats.std >= 1e-12
-    centered = x[:, stats.cols] - stats.mean
-    x[:, stats.cols] = np.where(live, centered / np.where(live, stats.std, 1.0), 0.0)
-    return x, stats
-
-
 @dataclass
 class PreprocessState:
-    """Fitted leave-one-out tables and z-score statistics, applied as one step."""
+    """Leave-one-out tables and z-score statistics, learned from a training split.
+
+    fit:   a categorical code is the mean target of the *other* training rows
+           in its category ((sum - own) / (count - 1)); singleton categories
+           get the global target mean. Each table keeps its categories' full
+           means.
+    apply: categorical codes come straight from the tables; unseen categories
+           get the global mean.
+    Both then z-score the continuous columns with the training statistics;
+    columns whose training std falls below 1e-12 become zeros.
+    """
 
     loo_tables: dict = field(default_factory=dict)  # column index -> LooTable
     zstats: ZscoreStats | None = None
-    fitted: bool = False
 
     def fit(self, ds: Dataset) -> Dataset:
         """Fit on a training split and return its preprocessed copy."""
-        x = np.array(ds.features)
+        x = np.array(ds.features, dtype=np.float64)
+        t = np.asarray(ds.targets, dtype=np.float64)
+        global_mean = float(t.mean())
         self.loo_tables = {}
         for j, vals in ds.cat_raw.items():
-            codes, table = loo_encode(vals, ds.targets, mode="fit")
-            x[:, j] = codes
-            self.loo_tables[j] = table
-        cont = [j for j, k in enumerate(ds.kinds) if k == "continuous"]
-        x, self.zstats = zscore(x, cont, mode="fit")
-        self.fitted = True
+            index = {}  # category -> its number, in order of first appearance
+            inv = np.array([index.setdefault(v, len(index)) for v in vals], dtype=np.int64)
+            sums = np.bincount(inv, weights=t)  # adds in row order
+            counts = np.bincount(inv)
+            own = counts[inv]
+            x[:, j] = np.where(own > 1, (sums[inv] - t) / np.maximum(own - 1, 1), global_mean)
+            self.loo_tables[j] = LooTable(means=dict(zip(index, (sums / counts).tolist())),
+                                          global_mean=global_mean)
+        cont = np.array([j for j, k in enumerate(ds.kinds) if k == "continuous"], dtype=np.int64)
+        self.zstats = ZscoreStats(mean=x[:, cont].mean(axis=0), std=x[:, cont].std(axis=0),
+                                  cols=cont)
         return self._finish(ds, x)
 
     def apply(self, ds: Dataset) -> Dataset:
-        if not self.fitted:
+        if self.zstats is None:
             raise DataError("PreprocessState: fit before apply")
         if sorted(self.loo_tables) != sorted(ds.cat_raw):
-            raise DataError("PreprocessState: categorical columns differ from the fitted ones")
-        x = np.array(ds.features)
+            raise DataError("PreprocessState: categorical columns differ from those seen at fit")
+        x = np.array(ds.features, dtype=np.float64)
         for j, table in self.loo_tables.items():
-            codes, _ = loo_encode(ds.cat_raw[j], mode="apply", table=table)
-            x[:, j] = codes
-        x, _ = zscore(x, self.zstats.cols, mode="apply", stats=self.zstats)
+            x[:, j] = [table.means.get(v, table.global_mean) for v in ds.cat_raw[j]]
         return self._finish(ds, x)
 
-    @staticmethod
-    def _finish(ds: Dataset, x: np.ndarray) -> Dataset:
+    def _finish(self, ds: Dataset, x: np.ndarray) -> Dataset:
+        """Z-score the continuous columns of ``x`` in place and wrap it."""
+        z = self.zstats
+        live = z.std >= 1e-12
+        x[:, z.cols] = np.where(live, (x[:, z.cols] - z.mean) / np.where(live, z.std, 1.0), 0.0)
         if not np.all(np.isfinite(x)):
             raise DataError("preprocessing produced non-finite values")
         return Dataset(features=x, targets=ds.targets.copy(), names=list(ds.names),

@@ -202,8 +202,7 @@ class AbstractUnit(Module):
 
     CHILDREN = ("bn1", "bn2")
 
-    def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: Rng,
-                 momentum: float = 0.01, eps: float = 1e-5):
+    def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: Rng):
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"AbstractUnit: dims must be >= 1, got ({in_dim}, {out_dim})")
         a = math.sqrt(6.0 / (in_dim + out_dim))
@@ -212,8 +211,8 @@ class AbstractUnit(Module):
         self.mask_logits = np.zeros(in_dim)
         self.w1 = rng.uniform(-a, a, (out_dim, in_dim))
         self.w2 = rng.uniform(-a, a, (out_dim, in_dim))
-        self.bn1 = GhostBatchNorm(out_dim, ghost_size, momentum, eps)
-        self.bn2 = GhostBatchNorm(out_dim, ghost_size, momentum, eps)
+        self.bn1 = GhostBatchNorm(out_dim, ghost_size)
+        self.bn2 = GhostBatchNorm(out_dim, ghost_size)
 
     def select(self, f: np.ndarray):
         """Apply the learned sparse mask to every row: returns (mask, f * mask)."""
@@ -270,14 +269,12 @@ class LayerCtx:
 class AbstractLayer(Module):
     """K parallel abstraction branches fused by elementwise sum."""
 
-    def __init__(self, in_dim: int, out_dim: int, branches: int, ghost_size: int,
-                 rng: Rng, momentum: float = 0.01, eps: float = 1e-5):
+    def __init__(self, in_dim: int, out_dim: int, branches: int, ghost_size: int, rng: Rng):
         if branches < 1:
             raise ValueError(f"AbstractLayer: branches must be >= 1, got {branches}")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.units = [AbstractUnit(in_dim, out_dim, ghost_size, rng, momentum, eps)
-                      for _ in range(branches)]
+        self.units = [AbstractUnit(in_dim, out_dim, ghost_size, rng) for _ in range(branches)]
 
     def forward(self, f: np.ndarray, train: bool):
         total = None

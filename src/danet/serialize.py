@@ -39,8 +39,8 @@ class ContainerError(ValueError):
 def _preprocess_to_manifest(pp: PreprocessState | None):
     if pp is None:
         return None
-    if not pp.fitted:
-        raise ContainerError("save_model: preprocess state is not fitted")
+    if pp.zstats is None:
+        raise ContainerError("save_model: preprocess state was never fit")
     loo = {
         str(j): {"means": table.means, "global_mean": table.global_mean}
         for j, table in pp.loo_tables.items()
@@ -64,7 +64,7 @@ def _preprocess_from_manifest(entry) -> PreprocessState | None:
     stats = ZscoreStats(mean=np.array(zs["mean"], dtype=np.float64),
                         std=np.array(zs["std"], dtype=np.float64),
                         cols=np.array(zs["cols"], dtype=np.int64))
-    return PreprocessState(loo_tables=tables, zstats=stats, fitted=True)
+    return PreprocessState(loo_tables=tables, zstats=stats)
 
 
 def _tensors(model):
@@ -141,6 +141,13 @@ def load_model(path) -> LoadedModel:
             features = manifest.get("features")
             names = [f["name"] for f in features] if features else None
             kinds = [f["kind"] for f in features] if features else None
+            target = manifest.get("target")
+            if target is not None and not isinstance(target, str):
+                raise ValueError(f"target {target!r} is not a string")
+            for name, kind in zip(names or [], kinds or []):
+                if not isinstance(name, str) or kind not in ("continuous", "categorical"):
+                    raise ValueError(f"feature {name!r} of kind {kind!r}: need a string name "
+                                     "and kind 'continuous' or 'categorical'")
             preprocess = _preprocess_from_manifest(manifest.get("preprocess"))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ContainerError(

@@ -154,11 +154,10 @@ class QhAdam:
 
 def evaluate(model, dataset) -> float:
     """Accuracy for classification, mean squared error for regression."""
+    preds = model.predict(dataset.features)
     if model.task == "class":
-        preds = model.predict(dataset.features)
         return float(np.mean(preds == dataset.targets))
-    scores = model.scores(dataset.features)[:, 0]
-    return float(np.mean((scores - dataset.targets) ** 2))
+    return float(np.mean((preds - dataset.targets) ** 2))
 
 
 @dataclass
@@ -183,6 +182,9 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
         raise TrainingError("fit: empty training set")
     if valid_set.n_rows < 1:
         raise TrainingError("fit: empty validation set (raise the validation fraction)")
+    if cfg.ghost_size != model.ghost_size:
+        raise TrainingError(f"fit: TrainConfig ghost_size={cfg.ghost_size} differs from the "
+                            f"model's ghost_size={model.ghost_size}")
     rng = Rng(cfg.seed)
     opt = QhAdam(model.named_params(), cfg)
     task = model.task

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from danet import (DataError, Dataset, PreprocessState, Rng, load_csv,
-                   loo_encode, read_schema, stratified_split, synth_generate,
-                   write_csv, zscore)
+                   read_schema, stratified_split, synth_generate, write_csv)
 from danet.data import FORMULAS
 
 
@@ -45,7 +44,6 @@ def test_load_csv_basic(tmp_path):
     assert np.array_equal(ds.features[:, 0], [1.5, -2.0, 0.25])
     assert ds.cat_raw[1] == ["x,1", "x2", "x,1"]  # quoted comma preserved
     assert np.array_equal(ds.targets, [0, 1, 1]) and ds.targets.dtype == np.int64
-    assert not ds.encoded
 
 
 def test_load_csv_column_order_follows_header(tmp_path):
@@ -82,44 +80,44 @@ def test_load_csv_errors(tmp_path):
     assert np.array_equal(ds.targets, [0.5, 1.5])
 
 
+def _categorical(values, targets):
+    return Dataset(features=np.zeros((len(values), 1)), targets=np.array(targets),
+                   names=["cat"], kinds=["categorical"], task="rank", cat_raw={0: values})
+
+
 def test_loo_encode_hand_example():
-    values = ["a", "a", "a", "b", "b", "c"]
     targets = [1.0, 2.0, 3.0, 10.0, 20.0, 7.0]
-    codes, table = loo_encode(values, targets, mode="fit")
-    # each row sees the mean of the *other* rows in its category
+    pp = PreprocessState()
+    codes = pp.fit(_categorical(["a", "a", "a", "b", "b", "c"], targets)).features[:, 0]
+    # each row sees the mean of the *other* rows in its category; the
+    # singleton "c" falls back to the global mean
     assert np.allclose(codes, [2.5, 2.0, 1.5, 20.0, 10.0, np.mean(targets)])
+    table = pp.loo_tables[0]
     assert table.means == {"a": 2.0, "b": 15.0, "c": 7.0}
+    assert all(type(k) is str for k in table.means)
     assert table.global_mean == pytest.approx(np.mean(targets))
+    assert list(pp.zstats.cols) == []  # categorical codes are not z-scored
 
-    applied, _ = loo_encode(["b", "zzz", "a"], mode="apply", table=table)
+    applied = pp.apply(_categorical(["b", "zzz", "a"], [0.0] * 3)).features[:, 0]
     assert np.allclose(applied, [15.0, table.global_mean, 2.0])
-
-
-def test_loo_encode_errors():
-    with pytest.raises(DataError):
-        loo_encode(["a"], mode="fit")  # no targets
-    with pytest.raises(DataError):
-        loo_encode(["a", "b"], [1.0], mode="fit")
-    with pytest.raises(DataError):
-        loo_encode(["a"], mode="apply")  # no table
-    with pytest.raises(DataError):
-        loo_encode(["a"], [1.0], mode="nope")
 
 
 def test_zscore_fit_and_apply():
     x = np.array([[1.0, 100.0], [3.0, 100.0], [5.0, 100.0]])
-    out, stats = zscore(x, [0, 1], mode="fit")
+
+    def cont(features):
+        return Dataset(features=features, targets=np.zeros(len(features)), names=["a", "b"],
+                       kinds=["continuous"] * 2, task="rank")
+
+    pp = PreprocessState()
+    out = pp.fit(cont(x)).features
     assert np.allclose(out[:, 0], (x[:, 0] - 3.0) / x[:, 0].std())
     assert np.array_equal(out[:, 1], np.zeros(3))  # constant column zeroed
     assert np.array_equal(x, [[1.0, 100.0], [3.0, 100.0], [5.0, 100.0]])
+    assert list(pp.zstats.cols) == [0, 1]
 
-    fresh, _ = zscore(np.array([[3.0, 7.0]]), [0, 1], mode="apply", stats=stats)
+    fresh = pp.apply(cont(np.array([[3.0, 7.0]]))).features
     assert fresh[0, 0] == 0.0 and fresh[0, 1] == 0.0
-
-    partial, _ = zscore(np.array([[9.0, 5.0]]), [0], mode="fit")
-    assert partial[0, 1] == 5.0  # untouched column passes through
-    with pytest.raises(DataError):
-        zscore(x, [0], mode="apply")
 
 
 def test_preprocess_state_fit_apply_consistency(tmp_path):
@@ -131,7 +129,7 @@ def test_preprocess_state_fit_apply_consistency(tmp_path):
     ds = load_csv(csv_p, schema, task="class")
     pp = PreprocessState()
     train = pp.fit(ds)
-    assert train.encoded and not train.cat_raw
+    assert not train.cat_raw
     assert abs(train.features[:, 0].mean()) <= 1e-12
     assert abs(train.features[:, 0].std() - 1.0) <= 1e-12
 
@@ -281,10 +279,23 @@ def test_dataset_validation_and_subset():
         Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), names=["a"],
                 kinds=["continuous", "continuous"], task="rank")
     ds = Dataset(features=np.arange(6.0).reshape(3, 2), targets=np.array([1., 2., 3.]),
-                 names=["a", "b"], kinds=["continuous"] * 2, task="rank",
+                 names=["a", "b"], kinds=["continuous", "categorical"], task="rank",
                  cat_raw={1: ["x", "y", "z"]})
     sub = ds.subset([2, 0])
     assert np.array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
     assert sub.cat_raw == {1: ["z", "x"]}
     sub.features[0, 0] = 99.0
     assert ds.features[2, 0] == 4.0  # subset copies
+
+
+@pytest.mark.parametrize("cat_raw, msg", [
+    ({2: ["x", "y", "z"]}, "not a categorical column index"),  # no such column
+    ({0: ["x", "y", "z"]}, "not a categorical column index"),  # a continuous column
+    ({"1": ["x", "y", "z"]}, "not a categorical column index"),  # a name, not an index
+    ({1.0: ["x", "y", "z"]}, "not a categorical column index"),  # not an integer
+    ({1: ["x", "y"]}, r"cat_raw\[1\] holds 2 values for 3 rows"),
+], ids=["out-of-range", "continuous-column", "string-key", "float-key", "short-list"])
+def test_dataset_rejects_cat_raw_that_does_not_fit_its_columns(cat_raw, msg):
+    with pytest.raises(DataError, match=msg):
+        Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), names=["a", "b"],
+                kinds=["continuous", "categorical"], task="rank", cat_raw=cat_raw)

@@ -311,8 +311,14 @@ def _config_with(**extra):
     _first_shape([-1, 3]),                                    # negative dimension
     _first_shape([2 ** 20, 2 ** 20]),                         # huge shape: 8 TiB
     _config_with(depth=3),                                    # config that fails validation
+    lambda m: {**m, "target": ["target"]},                    # target not a string
+    lambda m: {**m, "features": [{"name": 0, "kind": "continuous"}] * 3},
+    lambda m: {**m, "features": [{"name": "a", "kind": ["categorical"]}] * 3},
+    lambda m: {**m, "features": [{"name": "a", "kind": "target"}] * 3},
 ], ids=["unknown-config-key", "no-config", "no-bn-updates", "tensors-not-a-list",
-        "manifest-a-list", "negative-dimension", "huge-shape", "invalid-config"])
+        "manifest-a-list", "negative-dimension", "huge-shape", "invalid-config",
+        "target-a-list", "feature-name-not-a-string", "feature-kind-not-a-string",
+        "feature-kind-not-a-feature-kind"])
 def test_malformed_manifest_raises_container_error(tmp_path, edit):
     path = tmp_path / "m.danet"
     save_model(path, DANet(3, DANetConfig(depth=2, k0=1, d0=2, d1=2), seed=24))

@@ -174,8 +174,8 @@ def test_evaluate_hand_checks():
     class RankStub:
         task = "rank"
 
-        def scores(self, x):
-            return np.array([[1.0], [2.0], [4.0]])
+        def predict(self, x):
+            return np.array([1.0, 2.0, 4.0])
 
     ds = Dataset(features=np.zeros((4, 2)), targets=np.array([0, 1, 0, 0]),
                  names=["a", "b"], kinds=["continuous"] * 2, task="class")
@@ -252,7 +252,7 @@ def test_fit_stops_after_patience_without_improvement():
 
 
 def test_fit_runs_every_batch_including_the_short_tail():
-    tcfg = TrainConfig(batch_size=16, ghost_size=4, max_epochs=2, patience=10, seed=15)
+    tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=2, patience=10, seed=15)
     model = _toy_model(16)
     train, valid = _toy_sets(Rng(17))  # 40 train rows: batches 16/16/8
     sizes = []
@@ -286,6 +286,15 @@ def test_fit_rejects_an_empty_validation_set():
     tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=2, seed=22)
     with pytest.raises(TrainingError, match="empty validation set"):
         fit(_toy_model(23), train, valid, tcfg)
+
+
+def test_fit_rejects_a_ghost_size_that_differs_from_the_model():
+    # the model's batch norms split batches at its own ghost size (8), so a
+    # config asking for 4 would silently train at 8
+    train, valid = _toy_sets(Rng(24))
+    tcfg = TrainConfig(batch_size=16, ghost_size=4, max_epochs=1, seed=25)
+    with pytest.raises(TrainingError, match="ghost_size=4 differs from the model's ghost_size=8"):
+        fit(_toy_model(26), train, valid, tcfg)
 
 
 def test_small_steps_reduce_training_loss_on_most_seeds():
