@@ -123,9 +123,11 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
+        except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"{path}: line {reader.line_num}: unreadable CSV: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entmax import EntmaxResult, entmax15, entmax15_backward
-from .numerics import Rng, ShapeError
+from .numerics import ShapeError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -106,20 +106,16 @@ class GhostBatchNorm(Module):
     averaged over ghosts and are the ones used in eval mode.
     """
 
-    def __init__(self, dim: int, ghost_size: int = 256, momentum: float = 0.01,
-                 eps: float = 1e-5):
+    momentum = 0.01  # weight of the newest ghost-averaged statistics
+    eps = 1e-5  # added to the variance before the square root
+
+    def __init__(self, dim: int, ghost_size: int = 256):
         if dim < 1:
             raise ValueError(f"GhostBatchNorm: dim must be >= 1, got {dim}")
         if ghost_size < 1:
             raise ValueError(f"GhostBatchNorm: ghost_size must be >= 1, got {ghost_size}")
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError(f"GhostBatchNorm: momentum must be in (0, 1], got {momentum}")
-        if eps <= 0.0:
-            raise ValueError(f"GhostBatchNorm: eps must be positive, got {eps}")
         self.dim = dim
         self.ghost_size = ghost_size
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
@@ -202,7 +198,7 @@ class AbstractUnit(Module):
 
     CHILDREN = ("bn1", "bn2")
 
-    def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: Rng):
+    def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: np.random.Generator):
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"AbstractUnit: dims must be >= 1, got ({in_dim}, {out_dim})")
         a = math.sqrt(6.0 / (in_dim + out_dim))
@@ -269,7 +265,8 @@ class LayerCtx:
 class AbstractLayer(Module):
     """K parallel abstraction branches fused by elementwise sum."""
 
-    def __init__(self, in_dim: int, out_dim: int, branches: int, ghost_size: int, rng: Rng):
+    def __init__(self, in_dim: int, out_dim: int, branches: int, ghost_size: int,
+                 rng: np.random.Generator):
         if branches < 1:
             raise ValueError(f"AbstractLayer: branches must be >= 1, got {branches}")
         self.in_dim = in_dim

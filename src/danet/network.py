@@ -82,7 +82,7 @@ class HeadCtx:
 class MlpHead(Module):
     """Three affine layers with ReLU between: in -> hidden -> hidden -> out."""
 
-    def __init__(self, in_dim: int, hidden: int, out_dim: int, rng: Rng):
+    def __init__(self, in_dim: int, hidden: int, out_dim: int, rng: np.random.Generator):
         def glorot(fi, fo):
             a = math.sqrt(6.0 / (fi + fo))
             return rng.uniform(-a, a, (fo, fi))
@@ -146,7 +146,8 @@ class BasicBlock(Module):
 
     CHILDREN = ("main1", "main2", "shortcut")
 
-    def __init__(self, in_dim: int, n_raw: int, cfg: DANetConfig, ghost_size: int, rng: Rng):
+    def __init__(self, in_dim: int, n_raw: int, cfg: DANetConfig, ghost_size: int,
+                 rng: np.random.Generator):
         self.in_dim = in_dim
         self.n_raw = n_raw
         self.dropout = cfg.dropout
@@ -154,7 +155,8 @@ class BasicBlock(Module):
         self.main2 = AbstractLayer(cfg.d1, cfg.d0, cfg.k0, ghost_size, rng)
         self.shortcut = AbstractLayer(n_raw, cfg.d0, cfg.k0, ghost_size, rng)
 
-    def forward(self, f_prev: np.ndarray, x_raw: np.ndarray, train: bool, rng: Rng | None):
+    def forward(self, f_prev: np.ndarray, x_raw: np.ndarray, train: bool,
+                rng: np.random.Generator | None):
         m1, c1 = self.main1.forward(f_prev, train)
         m2, c2 = self.main2.forward(m1, train)
         s, cs = self.shortcut.forward(x_raw, train)
@@ -226,10 +228,10 @@ class DANet(Network):
     """
 
     def __init__(self, n_features: int, config: DANetConfig, ghost_size: int = 256,
-                 seed: int | Rng = 0):
+                 seed: int | np.random.Generator = 0):
         if n_features < 1:
             raise ValueError(f"DANet: n_features must be >= 1, got {n_features}")
-        rng = seed if isinstance(seed, Rng) else Rng(seed)
+        rng = seed if isinstance(seed, np.random.Generator) else Rng(seed)
         self.n_features = n_features
         self.config = config
         self.ghost_size = ghost_size
@@ -240,7 +242,7 @@ class DANet(Network):
             in_dim = config.d0
         self.head = MlpHead(config.d0, config.hidden_width, config.out_dim, rng)
 
-    def forward(self, x, train: bool = False, rng: Rng | None = None):
+    def forward(self, x, train: bool = False, rng: np.random.Generator | None = None):
         x = self._check_input(x)
         f = x
         block_ctxs = []

@@ -1,9 +1,9 @@
 """The shape error, a seeded random stream, and a finite-difference oracle.
 
 Matrices throughout the package are plain 2-D numpy arrays (float64,
-row-major); vectors are 1-D. All randomness flows through :class:`Rng`, a
-thin wrapper over numpy's PCG64 bit generator, so equal seeds give identical
-streams regardless of platform.
+row-major); vectors are 1-D. All randomness flows through numpy
+``Generator``s made by :func:`Rng` over the PCG64 bit generator, so equal
+seeds give identical streams regardless of platform.
 """
 
 from __future__ import annotations
@@ -17,35 +17,9 @@ class ShapeError(ValueError):
     """Operand shapes do not conform."""
 
 
-class Rng:
-    """Deterministic random stream backed by PCG64.
-
-    The seed is kept around so a stream can be reconstructed or forked
-    (``child``) without global state.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
-
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def random(self, size=None) -> np.ndarray:
-        return self._gen.random(size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def child(self, offset: int = 1) -> "Rng":
-        """A fresh stream with a derived seed (deterministic, uncorrelated in use)."""
-        return Rng(self.seed * 1_000_003 + offset)
+def Rng(seed: int) -> np.random.Generator:
+    """The package's random stream: numpy's PCG64 generator seeded with ``seed``."""
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

@@ -53,7 +53,7 @@ def _preprocess_to_manifest(pp: PreprocessState | None):
     return {"loo": loo, "zscore": zs}
 
 
-def _preprocess_from_manifest(entry) -> PreprocessState | None:
+def _preprocess_from_manifest(entry, n_features: int) -> PreprocessState | None:
     if entry is None:
         return None
     tables = {
@@ -61,10 +61,25 @@ def _preprocess_from_manifest(entry) -> PreprocessState | None:
         for j, t in entry["loo"].items()
     }
     zs = entry["zscore"]
+    if sorted([*tables, *zs["cols"]]) != list(range(n_features)):
+        raise ValueError("preprocess: the z-scored and leave-one-out columns do not "
+                         f"partition the {n_features} feature columns")
     stats = ZscoreStats(mean=np.array(zs["mean"], dtype=np.float64),
                         std=np.array(zs["std"], dtype=np.float64),
                         cols=np.array(zs["cols"], dtype=np.int64))
+    if not stats.mean.shape == stats.std.shape == stats.cols.shape:
+        raise ValueError("preprocess: mean and std need one value per z-scored column")
     return PreprocessState(loo_tables=tables, zstats=stats)
+
+
+def _check_schema(target, names, kinds) -> None:
+    """The schema rule that ``save_model`` and ``load_model`` both enforce."""
+    if target is not None and not isinstance(target, str):
+        raise ValueError(f"target {target!r} is not a string")
+    for name, kind in zip(names or [], kinds or [], strict=True):
+        if not isinstance(name, str) or kind not in ("continuous", "categorical"):
+            raise ValueError(f"feature {name!r} of kind {kind!r}: need a string name "
+                             "and kind 'continuous' or 'categorical'")
 
 
 def _tensors(model):
@@ -75,7 +90,15 @@ def _tensors(model):
 def save_model(path, model, feature_names=None, feature_kinds=None,
                preprocess: PreprocessState | None = None,
                target_name: str | None = None) -> None:
-    """Write a live or compressed model (plus optional schema/preprocessing)."""
+    """Write a live or compressed model (plus optional schema/preprocessing).
+    A schema or preprocessing that ``load_model`` would refuse raises before the
+    file is opened."""
+    stored_preprocess = _preprocess_to_manifest(preprocess)
+    try:
+        _check_schema(target_name, feature_names, feature_kinds)
+        _preprocess_from_manifest(stored_preprocess, model.n_features)
+    except ValueError as e:
+        raise ContainerError(f"save_model: {e}") from None
     compressed = isinstance(model, CompressedModel)
     tensors = _tensors(model)
     manifest = {
@@ -90,7 +113,7 @@ def save_model(path, model, feature_names=None, feature_kinds=None,
             None if feature_names is None
             else [{"name": n, "kind": k} for n, k in zip(feature_names, feature_kinds)]
         ),
-        "preprocess": _preprocess_to_manifest(preprocess),
+        "preprocess": stored_preprocess,
         "bn_updates": (None if compressed
                        else {name: bn.updates for name, bn in model.named_bns()}),
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors],
@@ -141,14 +164,8 @@ def load_model(path) -> LoadedModel:
             features = manifest.get("features")
             names = [f["name"] for f in features] if features else None
             kinds = [f["kind"] for f in features] if features else None
-            target = manifest.get("target")
-            if target is not None and not isinstance(target, str):
-                raise ValueError(f"target {target!r} is not a string")
-            for name, kind in zip(names or [], kinds or []):
-                if not isinstance(name, str) or kind not in ("continuous", "categorical"):
-                    raise ValueError(f"feature {name!r} of kind {kind!r}: need a string name "
-                                     "and kind 'continuous' or 'categorical'")
-            preprocess = _preprocess_from_manifest(manifest.get("preprocess"))
+            _check_schema(manifest.get("target"), names, kinds)
+            preprocess = _preprocess_from_manifest(manifest.get("preprocess"), n_features)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ContainerError(
                 f"{path}: malformed manifest: {type(e).__name__}: {e}") from None

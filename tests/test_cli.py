@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: config precedence, the train/eval/
 compress cycle, reports, and exit codes."""
 
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -260,3 +261,30 @@ def test_missing_files_exit_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--model", str(tmp_path / "nope.danet"),
                        "--data", str(tmp_path / "nope.csv"))
     assert code == 1 and err.startswith("error:")
+
+
+def test_eval_rejects_preprocessing_that_does_not_fit_the_model(trained, tmp_path, capsys):
+    _, _, out_dir, data, _ = trained
+    magic, line, tensors = (out_dir / "model.danet").read_bytes().split(b"\n", 2)
+    manifest = json.loads(line)
+    assert manifest["preprocess"]["zscore"]["cols"] == list(range(11))
+    manifest["preprocess"]["zscore"]["cols"][-1] = 19
+    bad = tmp_path / "bad.danet"
+    bad.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + tensors)
+    code, _, err = run(capsys, "eval", "--model", str(bad), "--data", str(data))
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert "partition" in err
+
+
+def test_an_overlong_csv_field_fails_train_and_eval_cleanly(trained, tmp_path, capsys):
+    _, cfg, out_dir, data, _ = trained
+    lines = data.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[0] = "1" * 131073
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+    for argv in (["eval", "--model", str(out_dir / "model.danet")],
+                 ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]):
+        code, _, err = run(capsys, *argv, "--data", str(long_csv))
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert "line 3" in err and "field larger than field limit" in err

@@ -80,6 +80,14 @@ def test_load_csv_errors(tmp_path):
     assert np.array_equal(ds.targets, [0.5, 1.5])
 
 
+def test_load_csv_rejects_an_overlong_field(tmp_path):
+    # one field past the csv module's 131072-character limit, on line 3
+    schema = {"a": "categorical", "y": "target"}
+    path = write(tmp_path / "long.csv", "a,y\nx,0\n" + "x" * 131073 + ",1\n")
+    with pytest.raises(DataError, match=r"long\.csv: line 3: .*field larger than field limit"):
+        load_csv(path, schema)
+
+
 def _categorical(values, targets):
     return Dataset(features=np.zeros((len(values), 1)), targets=np.array(targets),
                    names=["cat"], kinds=["categorical"], task="rank", cat_raw={0: values})

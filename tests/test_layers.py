@@ -38,13 +38,13 @@ def test_bn_train_single_ghost_matches_oracle():
 def test_bn_ghost_chunking_and_running_stats():
     rng = Rng(1)
     x = rng.standard_normal((10, 3)) * 2.0 + 1.0
-    bn = GhostBatchNorm(3, ghost_size=4, momentum=0.25)
+    bn = GhostBatchNorm(3, ghost_size=4)
     y, ctx = bn.forward(x, train=True)
     expect, mean_of_means, mean_of_vars = bn_train_oracle(x, bn.gamma, bn.beta, 4, bn.eps)
     assert [e - s for s, e in ctx.bounds] == [4, 4, 2]  # short final ghost kept
     assert np.max(np.abs(y - expect)) <= 1e-12
-    assert np.max(np.abs(bn.running_mean - 0.25 * mean_of_means)) <= 1e-12
-    assert np.max(np.abs(bn.running_var - (0.75 * 1.0 + 0.25 * mean_of_vars))) <= 1e-12
+    assert np.max(np.abs(bn.running_mean - 0.01 * mean_of_means)) <= 1e-12
+    assert np.max(np.abs(bn.running_var - (0.99 * 1.0 + 0.01 * mean_of_vars))) <= 1e-12
 
 
 def test_bn_constant_column_trains_to_beta():
@@ -103,8 +103,6 @@ def test_bn_validation():
         GhostBatchNorm(0)
     with pytest.raises(ValueError):
         GhostBatchNorm(3, ghost_size=0)
-    with pytest.raises(ValueError):
-        GhostBatchNorm(3, momentum=0.0)
     bn = GhostBatchNorm(3)
     with pytest.raises(ShapeError):
         bn.forward(np.zeros((4, 2)), train=True)

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from danet import (ContainerError, DANet, DANetConfig, Rng, ShapeError,
-                   count_flops, count_flops_folded, finite_diff_grad, load_model,
-                   save_model)
+from danet import (ContainerError, DANet, DANetConfig, Dataset, PreprocessState, Rng,
+                   ShapeError, count_flops, count_flops_folded, finite_diff_grad,
+                   load_model, save_model)
 from danet.network import BasicBlock, MlpHead
 from helpers import grad_check_model, make_small_danet, model_is_stable
 
@@ -295,6 +295,12 @@ def _first_shape(shape):
     return edit
 
 
+def _preprocess(cols, n_stats, loo=()):
+    tables = {j: {"means": {"a": 1.0}, "global_mean": 0.5} for j in loo}
+    stats = {"cols": cols, "mean": [0.0] * n_stats, "std": [1.0] * n_stats}
+    return lambda m: {**m, "preprocess": {"loo": tables, "zscore": stats}}
+
+
 def _config_with(**extra):
     def edit(m):
         m["config"].update(extra)
@@ -315,10 +321,17 @@ def _config_with(**extra):
     lambda m: {**m, "features": [{"name": 0, "kind": "continuous"}] * 3},
     lambda m: {**m, "features": [{"name": "a", "kind": ["categorical"]}] * 3},
     lambda m: {**m, "features": [{"name": "a", "kind": "target"}] * 3},
+    _preprocess([0, 1, 19], 3),                               # column 19 of 3 features
+    _preprocess([0, 1, 2], 3, loo=["1"]),                     # column 1 encoded twice
+    _preprocess([0], 1, loo=["1"]),                           # column 2 never encoded
+    _preprocess([0, 0.5, 2], 3),                              # a column index not an int
+    _preprocess([0, 1, 2], 2),                                # a mean and std short
 ], ids=["unknown-config-key", "no-config", "no-bn-updates", "tensors-not-a-list",
         "manifest-a-list", "negative-dimension", "huge-shape", "invalid-config",
         "target-a-list", "feature-name-not-a-string", "feature-kind-not-a-string",
-        "feature-kind-not-a-feature-kind"])
+        "feature-kind-not-a-feature-kind", "preprocess-column-out-of-range",
+        "preprocess-column-twice", "preprocess-column-missing", "preprocess-column-a-float",
+        "preprocess-stats-short"])
 def test_malformed_manifest_raises_container_error(tmp_path, edit):
     path = tmp_path / "m.danet"
     save_model(path, DANet(3, DANetConfig(depth=2, k0=1, d0=2, d1=2), seed=24))
@@ -327,6 +340,32 @@ def test_malformed_manifest_raises_container_error(tmp_path, edit):
     path.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + tensors)
     with pytest.raises(ContainerError):
         load_model(path)
+
+
+@pytest.mark.parametrize("names, kinds, target", [
+    (["a", "b"], ["continuous", "target"], "y"),              # a kind load refuses
+    ([0, "b"], ["continuous", "categorical"], "y"),           # a name that is no string
+    (["a", "b"], ["continuous"], "y"),                        # a kind missing
+    (["a", "b"], ["continuous", "categorical"], ["y"]),       # target not a string
+], ids=["kind-target", "name-not-a-string", "kind-missing", "target-a-list"])
+def test_save_refuses_a_schema_that_load_refuses(tmp_path, names, kinds, target):
+    path = tmp_path / "m.danet"
+    model = DANet(2, DANetConfig(depth=2, k0=1, d0=2, d1=2), seed=24)
+    with pytest.raises(ContainerError, match="save_model"):
+        save_model(path, model, feature_names=names, feature_kinds=kinds, target_name=target)
+    assert not path.exists()
+
+
+def test_save_refuses_preprocessing_fit_on_other_columns(tmp_path):
+    ds = Dataset(features=Rng(3).standard_normal((8, 3)), targets=np.arange(8.0),
+                 names=["a", "b", "c"], kinds=["continuous"] * 3, task="rank")
+    pp = PreprocessState()
+    pp.fit(ds)
+    path = tmp_path / "m.danet"
+    model = DANet(2, DANetConfig(depth=2, k0=1, d0=2, d1=2, task="rank"), seed=24)
+    with pytest.raises(ContainerError, match="save_model: .*partition"):
+        save_model(path, model, preprocess=pp)
+    assert not path.exists()
 
 
 def test_container_keeps_float_precision(tmp_path):

@@ -11,6 +11,12 @@ def test_rng_same_seed_same_stream():
     assert not np.array_equal(Rng(123).standard_normal(10), Rng(124).standard_normal(10))
 
 
+def test_rng_is_a_numpy_pcg64_generator():
+    rng = Rng(7)
+    assert type(rng) is np.random.Generator
+    assert isinstance(rng.bit_generator, np.random.PCG64)
+
+
 def test_gaussian_sample_frozen_stream():
     # frozen from the documented PCG64 stream; a silent generator change
     # would break every seeded experiment in the package

@@ -90,7 +90,7 @@ def test_masked_out_columns_fold_to_zero_weights():
 def _trained_model(seed, depth=4, n_features=6, steps=5):
     rng = Rng(seed)
     cfg = DANetConfig(depth=depth, k0=2, d0=4, d1=5, dropout=0.1)
-    model = DANet(n_features, cfg, ghost_size=8, seed=rng.child())
+    model = DANet(n_features, cfg, ghost_size=8, seed=seed * 1_000_003 + 1)
     for name, kind, arr in model.named_params():
         if kind == "mask":
             arr += rng.standard_normal(arr.shape)
@@ -202,7 +202,7 @@ def test_folded_flop_count_is_the_compressed_model_count():
     for depth, k0, d0, d1, n_features in ((2, 1, 3, 3, 1), (4, 2, 4, 5, 6),
                                           (6, 3, 7, 2, 9), (8, 5, 32, 64, 11)):
         cfg = DANetConfig(depth=depth, k0=k0, d0=d0, d1=d1)
-        model = DANet(n_features, cfg, ghost_size=8, seed=rng.child(depth))
+        model = DANet(n_features, cfg, ghost_size=8, seed=13 * 1_000_003 + depth)
         for _ in range(2):
             model.forward(rng.standard_normal((16, n_features)), train=True, rng=rng)
         assert count_flops(compress_model(model)).lines == count_flops_folded(model).lines
