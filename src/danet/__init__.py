@@ -14,7 +14,8 @@ from .network import (BasicBlock, DANet, DANetConfig, FlopsReport, MlpHead,
 from .reparam import (CompressedLayer, CompressedModel, CompressedUnit,
                       compress_model, compress_unit, fold_bn, fold_mask)
 from .training import (FitResult, QhAdam, TrainConfig, TrainingError,
-                       cross_entropy, evaluate, fit, history_to_csv, lr_at, mse)
+                       batch_gradients, cross_entropy, evaluate, fit, history_to_csv,
+                       lr_at, mse)
 from .data import (DataError, Dataset, LooTable, PreprocessState, ZscoreStats,
                    load_csv, read_schema, stratified_split, synth_generate,
                    write_csv)
@@ -30,8 +31,8 @@ __all__ = [
     "count_flops", "count_flops_folded",
     "CompressedLayer", "CompressedModel", "CompressedUnit", "compress_model",
     "compress_unit", "fold_bn", "fold_mask",
-    "FitResult", "QhAdam", "TrainConfig", "TrainingError", "cross_entropy",
-    "evaluate", "fit", "history_to_csv", "lr_at", "mse",
+    "FitResult", "QhAdam", "TrainConfig", "TrainingError", "batch_gradients",
+    "cross_entropy", "evaluate", "fit", "history_to_csv", "lr_at", "mse",
     "DataError", "Dataset", "LooTable", "PreprocessState", "ZscoreStats",
     "load_csv", "read_schema", "stratified_split", "synth_generate",
     "write_csv",

@@ -20,6 +20,7 @@ tied to the layer that produced it.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,23 @@ class Module:
             grads.update((f"{name}.{key}", g) for key, g in sub.items())
         return grads
 
+    @contextmanager
+    def one_stat_update(self):
+        """Training forwards inside the ``with`` statement add each batch
+        norm's ghost means and variances up; a normal exit then updates every
+        running statistic once from those sums, as one training forward over
+        all the rows would have done."""
+        bns = [bn for _, bn in self.named_bns()]
+        for bn in bns:
+            bn.pending = [np.zeros(bn.dim), np.zeros(bn.dim), 0]
+        try:
+            yield
+            for bn in bns:
+                bn.update_running(*bn.pending)
+        finally:
+            for bn in bns:
+                bn.pending = None
+
 
 @dataclass
 class BatchNormCtx:
@@ -103,11 +121,13 @@ class GhostBatchNorm(Module):
     In training mode each ghost of ``ghost_size`` rows (the last one may be
     smaller) is normalized with its own mean and biased variance. Running
     statistics are an exponential moving average of the per-ghost statistics
-    averaged over ghosts and are the ones used in eval mode.
+    averaged over ghosts, one step per training forward (or per
+    ``Module.one_stat_update`` statement), and are the ones used in eval mode.
     """
 
     momentum = 0.01  # weight of the newest ghost-averaged statistics
     eps = 1e-5  # added to the variance before the square root
+    pending = None  # [mean sum, var sum, ghosts] inside Module.one_stat_update
 
     def __init__(self, dim: int, ghost_size: int = 256):
         if dim < 1:
@@ -136,8 +156,8 @@ class GhostBatchNorm(Module):
         y = np.empty_like(x)
         xhat = np.empty_like(x)
         inv_stds = []
-        ghost_means = np.zeros(self.dim)
-        ghost_vars = np.zeros(self.dim)
+        deferred = self.pending is not None
+        sums = self.pending if deferred else [np.zeros(self.dim), np.zeros(self.dim), 0]
         for s, e in bounds:
             chunk = x[s:e]
             mu = chunk.mean(axis=0)
@@ -147,14 +167,19 @@ class GhostBatchNorm(Module):
             xhat[s:e] = xh
             y[s:e] = self.gamma * xh + self.beta
             inv_stds.append(inv)
-            ghost_means += mu
-            ghost_vars += var
-        n_ghosts = len(bounds)
-        m = self.momentum
-        self.running_mean = (1.0 - m) * self.running_mean + m * (ghost_means / n_ghosts)
-        self.running_var = (1.0 - m) * self.running_var + m * (ghost_vars / n_ghosts)
-        self.updates += 1
+            sums[0] += mu
+            sums[1] += var
+        sums[2] += len(bounds)
+        if not deferred:
+            self.update_running(*sums)
         return y, BatchNormCtx(bounds=bounds, xhat=xhat, inv_std=inv_stds)
+
+    def update_running(self, mean_sum: np.ndarray, var_sum: np.ndarray, n_ghosts: int):
+        """One moving-average step towards the mean of the ghost statistics."""
+        m = self.momentum
+        self.running_mean = (1.0 - m) * self.running_mean + m * (mean_sum / n_ghosts)
+        self.running_var = (1.0 - m) * self.running_var + m * (var_sum / n_ghosts)
+        self.updates += 1
 
     def backward(self, ctx: BatchNormCtx, dy: np.ndarray):
         """Returns (dx, dgamma, dbeta). Gradients do not flow through the
@@ -179,12 +204,9 @@ class GhostBatchNorm(Module):
 class UnitCtx:
     f: np.ndarray
     mask: EntmaxResult
-    f_prime: np.ndarray
     bn1_ctx: BatchNormCtx
     bn2_ctx: BatchNormCtx
     q: np.ndarray
-    h2: np.ndarray
-    gated: np.ndarray
 
 
 class AbstractUnit(Module):
@@ -210,44 +232,38 @@ class AbstractUnit(Module):
         self.bn1 = GhostBatchNorm(out_dim, ghost_size)
         self.bn2 = GhostBatchNorm(out_dim, ghost_size)
 
-    def select(self, f: np.ndarray):
-        """Apply the learned sparse mask to every row: returns (mask, f * mask)."""
+    def forward(self, f: np.ndarray, train: bool):
+        """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), p the
+        learned sparse mask shared by every row; ReLU on the product. The
+        context keeps f, the mask, both batch norms' contexts and q; the
+        backward recomputes h2 from bn2's xhat."""
         if f.ndim != 2 or f.shape[1] != self.in_dim:
             raise ShapeError(f"AbstractUnit: expected (rows, {self.in_dim}), got {f.shape}")
         mask = entmax15(self.mask_logits)
-        return mask, f * mask.probs
-
-    def forward(self, f: np.ndarray, train: bool):
-        """q = sigmoid(BN1(f' W1^T)) gates BN2(f' W2^T), f' the masked
-        features; ReLU on the product."""
-        mask, f_prime = self.select(f)
-        a1 = f_prime @ self.w1.T
-        h1, bn1_ctx = self.bn1.forward(a1, train)
+        h1, bn1_ctx = self.bn1.forward(f @ (self.w1 * mask.probs).T, train)
         q = sigmoid(h1)
-        a2 = f_prime @ self.w2.T
-        h2, bn2_ctx = self.bn2.forward(a2, train)
-        gated = q * h2
-        out = relu(gated)
+        h2, bn2_ctx = self.bn2.forward(f @ (self.w2 * mask.probs).T, train)
+        out = relu(q * h2)
         if not train:
             return out, None
-        return out, UnitCtx(f=f, mask=mask, f_prime=f_prime, bn1_ctx=bn1_ctx,
-                            bn2_ctx=bn2_ctx, q=q, h2=h2, gated=gated)
+        return out, UnitCtx(f=f, mask=mask, bn1_ctx=bn1_ctx, bn2_ctx=bn2_ctx, q=q)
 
     def backward(self, ctx: UnitCtx, dout: np.ndarray):
         """Returns (df, grads) with grads keyed like ``named_params``."""
-        dgated = np.where(ctx.gated > 0.0, dout, 0.0)
-        dq = dgated * ctx.h2
-        dh2 = dgated * ctx.q
-        dh1 = dq * ctx.q * (1.0 - ctx.q)
+        p, q = ctx.mask.probs, ctx.q
+        h2 = self.bn2.gamma * ctx.bn2_ctx.xhat + self.bn2.beta  # bn2's output, bit for bit
+        dgated = dout * (q * h2 > 0.0)
+        dq = dgated * h2
+        dh2 = dgated * q
+        dh1 = dq * q * (1.0 - q)
         da1, dg1, db1 = self.bn1.backward(ctx.bn1_ctx, dh1)
         da2, dg2, db2 = self.bn2.backward(ctx.bn2_ctx, dh2)
-        dw1 = da1.T @ ctx.f_prime
-        dw2 = da2.T @ ctx.f_prime
-        df_prime = da1 @ self.w1 + da2 @ self.w2
-        df = df_prime * ctx.mask.probs
-        dmask = (df_prime * ctx.f).sum(axis=0)
+        g1 = da1.T @ ctx.f
+        g2 = da2.T @ ctx.f
+        df = da1 @ (self.w1 * p) + da2 @ (self.w2 * p)
+        dmask = (g1 * self.w1 + g2 * self.w2).sum(axis=0)
         dlogits = entmax15_backward(ctx.mask, dmask)
-        return df, self.named_grads({"mask": dlogits, "w1": dw1, "w2": dw2},
+        return df, self.named_grads({"mask": dlogits, "w1": g1 * p, "w2": g2 * p},
                                     {"gamma": dg1, "beta": db1}, {"gamma": dg2, "beta": db2})
 
     def leaves(self):

@@ -152,6 +152,51 @@ class QhAdam:
             p -= lr * num / den
 
 
+def _ghost_step(model, x, targets, uniforms, scale: float):
+    # forward, loss and backward of one ghost; its context dies on return
+    out, ctx = model.forward(x, train=True, uniforms=uniforms)
+    if model.task == "class":
+        loss, dout = cross_entropy(out, targets)
+    else:
+        loss, dout = mse(out[:, 0], targets)
+        dout = dout[:, None]
+    dout *= scale
+    return loss * scale, model.backward(ctx, dout)[1]
+
+
+def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Generator):
+    """Mean loss and parameter gradients of one training batch, computed one
+    ghost at a time.
+
+    Rows of different ghosts meet only in the batch-norm running statistics
+    and in the gradient sum, so the batch's dropout uniforms are drawn from
+    ``rng`` first (in block order, as a whole-batch training forward draws
+    them), then each ghost, the short tail one included, runs forward, loss
+    scaled by its share of the rows, and backward, and its gradients are
+    added up before the next ghost's forward. Each batch norm updates its
+    running statistics once, from the ghost statistics summed in ghost
+    order. The result equals a whole-batch ``forward(train=True)`` and
+    ``backward`` up to the order of the gradient sums, while only one
+    ghost's activations are alive at a time.
+    """
+    rows, ghost = x.shape[0], model.ghost_size
+    uniforms = model.dropout_uniforms(rng, rows)
+    loss, grads = 0.0, None
+    with model.one_stat_update():
+        for s in range(0, rows, ghost):
+            rs = slice(s, s + ghost)
+            gl, gg = _ghost_step(model, x[rs], targets[rs],
+                                 [None if u is None else u[rs] for u in uniforms],
+                                 (min(rows, s + ghost) - s) / rows)
+            loss += gl
+            if grads is None:
+                grads = gg
+            else:
+                for name, g in gg.items():
+                    grads[name] += g
+    return loss, grads
+
+
 def evaluate(model, dataset) -> float:
     """Accuracy for classification, mean squared error for regression."""
     preds = model.predict(dataset.features)
@@ -172,10 +217,11 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
     """Mini-batch training with best-validation parameter retention.
 
     Each epoch reshuffles with the seeded stream (the final short batch is
-    kept), steps the optimizer at the epoch's decayed rate, then scores the
-    validation set in eval mode. The parameters (and batch-norm statistics)
-    of the best validation epoch are restored before returning. Stops early
-    after ``patience`` epochs without improvement.
+    kept), computes each batch's gradients ghost by ghost
+    (``batch_gradients``), steps the optimizer at the epoch's decayed rate,
+    then scores the validation set in eval mode. The parameters (and
+    batch-norm statistics) of the best validation epoch are restored before
+    returning. Stops early after ``patience`` epochs without improvement.
     """
     n = train_set.features.shape[0]
     if n < 1:
@@ -200,20 +246,14 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
         loss_sum = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
-            xb = train_set.features[idx]
-            out, ctx = model.forward(xb, train=True, rng=rng)
-            if task == "class":
-                loss, dout = cross_entropy(out, train_set.targets[idx])
-            else:
-                loss, dout = mse(out[:, 0], train_set.targets[idx])
-                dout = dout[:, None]
+            loss, grads = batch_gradients(model, train_set.features[idx],
+                                          train_set.targets[idx], rng)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"fit: non-finite loss {loss} at epoch {epoch}, batch {bi} "
                     f"(lr={lr:.6g}, batch rows={len(idx)})"
                 )
             loss_sum += loss * len(idx)
-            _, grads = model.backward(ctx, dout)
             opt.step(grads, lr)
         train_loss = loss_sum / n
         valid_metric = evaluate(model, valid_set)

@@ -59,6 +59,12 @@ def flatten_grads(named, grads):
     return np.concatenate([grads[name].ravel() for name, _, _ in named])
 
 
+def gated_value(unit, uctx):
+    """The unit's pre-ReLU value q * h2, with h2 rebuilt from bn2's xhat the
+    way the unit's backward rebuilds it."""
+    return uctx.q * (unit.bn2.gamma * uctx.bn2_ctx.xhat + unit.bn2.beta)
+
+
 def _unit_margins(unit, uctx):
     half = unit.mask_logits / 2.0
     tau = uctx.mask.tau
@@ -67,7 +73,7 @@ def _unit_margins(unit, uctx):
     m = float(on.min()) if on.size else np.inf
     if off.size:
         m = min(m, float(off.min()))
-    return min(m, float(np.abs(uctx.gated).min()))
+    return min(m, float(np.abs(gated_value(unit, uctx)).min()))
 
 
 def model_is_stable(model, x, margin=1e-3):

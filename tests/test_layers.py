@@ -6,7 +6,7 @@ import pytest
 
 from danet import (AbstractLayer, AbstractUnit, GhostBatchNorm, Rng, ShapeError,
                    entmax15, finite_diff_grad, sigmoid)
-from helpers import entmax_margin
+from helpers import entmax_margin, gated_value
 
 
 def bn_train_oracle(x, gamma, beta, ghost, eps):
@@ -225,7 +225,7 @@ def _stable_layer_case(seed):
     for unit, uctx in zip(layer.units, ctx.unit_ctxs):
         if entmax_margin(unit.mask_logits) < 1e-3:
             return None
-        if np.abs(uctx.gated).min() < 1e-3:
+        if np.abs(gated_value(unit, uctx)).min() < 1e-3:
             return None
     return layer, f
 
@@ -289,12 +289,16 @@ def test_context_is_single_use_and_owner_checked():
 
 def test_mask_is_shared_across_rows():
     unit, rng = trained_unit(21)
-    mask, fp = unit.select(rng.standard_normal((30, 6)))
+    _, ctx = unit.forward(rng.standard_normal((30, 6)), train=True)
+    mask = ctx.mask
     assert abs(mask.probs.sum() - 1.0) <= 1e-12
-    # same mask applied to every row
-    f = np.ones((3, 6))
-    _, fp2 = unit.select(f)
-    assert np.max(np.abs(fp2 - mask.probs)) <= 1e-15
+    # same mask applied to every row: each row scores as that row scaled by
+    # the mask scores under a uniform mask (1/6 per feature, undone by the 6)
+    f = rng.standard_normal((3, 6))
+    out, _ = unit.forward(f, train=False)
+    unit.mask_logits[:] = 0.0
+    rescaled, _ = unit.forward(f * mask.probs * 6.0, train=False)
+    assert np.max(np.abs(out - rescaled)) <= 1e-12
 
 
 def test_sigmoid_stable_and_correct():

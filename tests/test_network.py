@@ -34,7 +34,7 @@ def test_block_forward_matches_manual_composition():
     f = data_rng.standard_normal((8, 5))
     x = data_rng.standard_normal((8, 5))
 
-    out, ctx = block.forward(f, x, train=True, rng=Rng(77))
+    out, ctx = block.forward(f, x, train=True, uniforms=Rng(77).random((8, 3)))
 
     # replay: train-mode layer outputs depend only on batch stats, and the
     # dropout stream is reproducible from the same seed
@@ -52,8 +52,8 @@ def test_block_eval_has_no_dropout_and_no_ctx():
     block = BasicBlock(4, 4, cfg, ghost_size=4, rng=Rng(2))
     rng = Rng(3)
     f, x = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    a, ctx = block.forward(f, x, train=False, rng=None)
-    b, _ = block.forward(f, x, train=False, rng=None)
+    a, ctx = block.forward(f, x, train=False)
+    b, _ = block.forward(f, x, train=False)
     assert ctx is None
     assert np.array_equal(a, b)  # deterministic without a stream
 
@@ -63,8 +63,10 @@ def test_block_train_with_dropout_requires_rng():
     block = BasicBlock(4, 4, cfg, ghost_size=4, rng=Rng(4))
     rng = Rng(5)
     with pytest.raises(ValueError):
-        block.forward(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)),
-                      train=True, rng=None)
+        block.forward(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), train=True)
+    model = DANet(4, cfg, ghost_size=4, seed=6)
+    with pytest.raises(ValueError):
+        model.forward(rng.standard_normal((4, 4)), train=True)
 
 
 def test_model_gradients_match_finite_differences():

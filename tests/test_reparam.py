@@ -124,6 +124,27 @@ def test_compress_model_is_detached_from_the_source():
     assert np.array_equal(cmodel.scores(x), before)
 
 
+@pytest.mark.parametrize("task", ["class", "rank"])
+def test_predict_in_blocks_equals_one_scores_call(task):
+    rng = Rng(40)
+    cfg = DANetConfig(depth=2, k0=2, d0=4, d1=5, dropout=0.1, task=task, num_classes=3)
+    model = DANet(6, cfg, ghost_size=8, seed=41)
+    for _ in range(3):  # populate the running statistics
+        model.forward(rng.standard_normal((16, 6)), train=True, rng=rng)
+    x = rng.standard_normal((2 * 8192 + 123, 6))  # two full blocks and a short one
+    for m in (model, compress_model(model)):
+        whole = m.scores(x)
+        got = m.predict(x)
+        if task == "class":
+            assert np.array_equal(got, np.argmax(whole, axis=1))
+        else:
+            np.testing.assert_allclose(got, whole[:, 0], rtol=1e-12, atol=1e-12)
+        empty = m.predict(np.zeros((0, 6)))
+        assert empty.shape == (0,)
+        with pytest.raises(ShapeError):
+            m.predict(np.zeros((2 * 8192, 5)))
+
+
 def test_compressed_model_validates_input():
     model, _ = _trained_model(7)
     cmodel = compress_model(model)

@@ -1,10 +1,13 @@
 """Losses, optimizer steps against hand-unrolled oracles, and the fit loop."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from danet import (DANet, DANetConfig, Dataset, FitResult, QhAdam, Rng,
-                   TrainConfig, TrainingError, cross_entropy, evaluate,
+                   TrainConfig, TrainingError, batch_gradients, cross_entropy, evaluate,
                    finite_diff_grad, fit, history_to_csv, lr_at, mse, stratified_split)
 from danet.training import _bias_adj
 from helpers import make_small_danet
@@ -251,21 +254,89 @@ def test_fit_stops_after_patience_without_improvement():
     assert res.epochs_run == 4
 
 
-def test_fit_runs_every_batch_including_the_short_tail():
+def test_fit_runs_every_batch_including_the_short_tail(monkeypatch):
     tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=2, patience=10, seed=15)
     model = _toy_model(16)
     train, valid = _toy_sets(Rng(17))  # 40 train rows: batches 16/16/8
-    sizes = []
-    orig = model.forward
+    events = []
+    orig_forward, orig_step = model.forward, QhAdam.step
 
-    def spy(x, train=False, rng=None):
+    def spy(x, train=False, **kwargs):
         if train:
-            sizes.append(x.shape[0])
-        return orig(x, train=train, rng=rng)
+            events.append(x.shape[0])
+        return orig_forward(x, train=train, **kwargs)
+
+    def step_spy(opt, grads, lr):
+        events.append("step")
+        return orig_step(opt, grads, lr)
 
     model.forward = spy
+    monkeypatch.setattr(QhAdam, "step", step_spy)
     fit(model, train, valid, tcfg)
-    assert sizes == [16, 16, 8, 16, 16, 8]
+    # one training forward per 8-row ghost, one optimizer step per batch
+    assert events == [8, 8, "step", 8, 8, "step", 8, "step"] * 2
+
+
+@pytest.mark.parametrize("task", ["class", "rank"])
+def test_ghost_by_ghost_step_matches_the_whole_batch_pass(task):
+    # 20 rows at ghost 8: ghosts of 8, 8 and a short tail of 4
+    cfg = DANetConfig(depth=4, k0=2, d0=5, d1=6, dropout=0.3, task=task, num_classes=3)
+    whole = DANet(7, cfg, ghost_size=8, seed=31)
+    rng = Rng(32)
+    x = rng.standard_normal((20, 7))
+    y = rng.integers(0, 3, 20) if task == "class" else rng.standard_normal(20)
+    ghostly = copy.deepcopy(whole)
+
+    out, ctx = whole.forward(x, train=True, rng=Rng(33))
+    if task == "class":
+        loss, dout = cross_entropy(out, y)
+    else:
+        loss, dout = mse(out[:, 0], y)
+        dout = dout[:, None]
+    _, expect = whole.backward(ctx, dout)
+    got_loss, got = batch_gradients(ghostly, x, y, Rng(33))
+
+    assert got_loss == pytest.approx(loss, rel=1e-12)
+    assert list(got) == list(expect)
+    for name, g in expect.items():
+        scale = np.abs(g).max()
+        assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+    for (name, a), (_, b) in zip(whole.named_buffers(), ghostly.named_buffers()):
+        assert np.abs(a - b).max() <= 1e-15, name
+    assert ([bn.updates for _, bn in whole.named_bns()]
+            == [bn.updates for _, bn in ghostly.named_bns()] == [1] * 24)
+    assert all(bn.pending is None for _, bn in ghostly.named_bns())
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = fn()  # noqa: F841  (what fn returns stays alive while measured)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_steps_hold_one_ghost_of_activations():
+    # Two 4096-row steps at ghost 256 must peak far below one whole-batch
+    # training forward: only one ghost's context may be alive at a time,
+    # and none may outlive its step. Holding the previous step's context
+    # while the next one runs gives ~2x; a whole-batch step ~1x.
+    cfg = DANetConfig(depth=2, k0=2, d0=8, d1=16, dropout=0.1)
+    rng = Rng(34)
+    x = rng.standard_normal((8192 + 64, 6))
+    y = (x[:, 0] > 0).astype(np.int64)
+    names, kinds = [f"v{i}" for i in range(6)], ["continuous"] * 6
+    train = Dataset(features=x[:8192], targets=y[:8192], names=names, kinds=kinds, task="class")
+    valid = Dataset(features=x[8192:], targets=y[8192:], names=names, kinds=kinds, task="class")
+    tcfg = TrainConfig(batch_size=4096, ghost_size=256, max_epochs=1, seed=35)
+
+    model = DANet(6, cfg, ghost_size=256, seed=36)
+    forward_mb = _traced_peak_mb(lambda: model.forward(x[:4096], train=True, rng=Rng(37)))
+    model = DANet(6, cfg, ghost_size=256, seed=36)
+    fit_mb = _traced_peak_mb(lambda: fit(model, train, valid, tcfg))
+    assert fit_mb < 0.3 * forward_mb, (fit_mb, forward_mb)
 
 
 def test_fit_aborts_on_non_finite_loss():
