@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -111,9 +112,36 @@ def _parse_float(cell: str, row: int, col: str) -> float:
     return v
 
 
+def _parse_columns(rows: list, width: int, cols: list, outs: list) -> bool:
+    """Parse the cells at CSV indices ``cols`` into the arrays ``outs``, one
+    column at a time. False when a row is ragged or a cell is not a finite
+    float."""
+    if any(len(row) != width for row in rows):
+        return False
+    try:
+        for i, out in zip(cols, outs):
+            out[:] = np.fromiter(map(float, map(itemgetter(i), rows)), np.float64, len(rows))
+    except ValueError:
+        return False
+    return all(np.isfinite(out).all() for out in outs)
+
+
+def _parse_cells(rows: list, width: int, cols: list, names: list, outs: list) -> None:
+    """``_parse_columns`` cell by cell, raising DataError at the first ragged
+    row or bad cell in row-major order."""
+    for r, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataError(f"row {r}: expected {width} cells, got {len(row)}")
+        for i, name, out in zip(cols, names, outs):
+            out[r - 1] = _parse_float(row[i], r, name)
+
+
 def load_csv(path, schema: dict, task: str = "class") -> Dataset:
     """Load an RFC 4180 CSV with header against a schema.
 
+    Continuous cells and targets are parsed column by column with Python's
+    ``float``; only when a row is ragged or a cell is not a finite float does
+    a second, cell-by-cell pass run, to name the first bad row and column.
     Row numbers in error messages are 1-based data rows (the header is row 0).
     Classification targets must be non-negative integers.
     """
@@ -146,21 +174,17 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
     names = [name for _, name in feat_cols]
     kinds = [schema[name] for name in names]
 
-    n = len(rows)
-    features = np.zeros((n, len(feat_cols)))
-    cat_raw = {j: [None] * n for j, (_, name) in enumerate(feat_cols)
-               if schema[name] == "categorical"}
-    targets_f = np.zeros(n)
-
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"row {r}: expected {len(header)} cells, got {len(row)}")
-        for j, (i, name) in enumerate(feat_cols):
-            if schema[name] == "continuous":
-                features[r - 1, j] = _parse_float(row[i], r, name)
-            else:
-                cat_raw[j][r - 1] = row[i]
-        targets_f[r - 1] = _parse_float(row[target_idx], r, target_col)
+    # the continuous features in order, then the target: the order in which
+    # the per-cell pass checks a row's cells
+    cont = [j for j, kind in enumerate(kinds) if kind == "continuous"]
+    features = np.zeros((len(rows), len(feat_cols)))
+    targets_f = np.zeros(len(rows))
+    cols = [feat_cols[j][0] for j in cont] + [target_idx]
+    outs = [features[:, j] for j in cont] + [targets_f]
+    if not _parse_columns(rows, len(header), cols, outs):
+        _parse_cells(rows, len(header), cols, [names[j] for j in cont] + [target_col], outs)
+    cat_raw = {j: [row[i] for row in rows] for j, (i, _) in enumerate(feat_cols)
+               if kinds[j] == "categorical"}
 
     if task == "class":
         if np.any(targets_f < 0) or np.any(targets_f != np.round(targets_f)):

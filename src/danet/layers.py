@@ -30,8 +30,13 @@ from .numerics import ShapeError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form: stable for large |x| without branching on sign
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # tanh form: stable for large |x| without branching on sign. The same
+    # bits as 0.5 * (1.0 + np.tanh(0.5 * x)), computed in one array
+    t = np.asarray(0.5 * x)  # a 0-d array for a scalar, so tanh can write in place
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def relu(x: np.ndarray) -> np.ndarray:

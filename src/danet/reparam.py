@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entmax import entmax15
-from .layers import AbstractLayer, GhostBatchNorm, Module, relu, sigmoid
+from .layers import AbstractLayer, GhostBatchNorm, Module, sigmoid
 from .network import BasicBlock, DANet, DANetConfig, MlpHead, Network
 from .numerics import ShapeError
 
@@ -65,8 +65,14 @@ class CompressedUnit(Module):
         return self.w1s.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        gate = sigmoid(x @ self.w1s.T + self.b1s)
-        return relu(gate * (x @ self.w2s.T + self.b2s))
+        # in place, bitwise the docstring's expression: two block-sized
+        # arrays and sigmoid's one, not a fresh array per step
+        z = x @ self.w1s.T
+        z += self.b1s
+        h = x @ self.w2s.T
+        h += self.b2s
+        h *= sigmoid(z)
+        return np.maximum(h, 0.0, out=h)
 
     def leaves(self):
         return [("w1s", "weight", self.w1s), ("b1s", "bias", self.b1s),
@@ -86,7 +92,7 @@ class CompressedLayer(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         total = self.units[0].forward(x)
         for unit in self.units[1:]:
-            total = total + unit.forward(x)
+            total += unit.forward(x)
         return total
 
     children = AbstractLayer.children  # branch k is named u{k}, as in the live layer
@@ -102,7 +108,9 @@ class CompressedBlock(Module):
         self.shortcut = shortcut
 
     def forward(self, f_prev: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
-        return self.main2.forward(self.main1.forward(f_prev)) + self.shortcut.forward(x_raw)
+        out = self.main2.forward(self.main1.forward(f_prev))
+        out += self.shortcut.forward(x_raw)
+        return out
 
 
 class CompressedModel(Network):

@@ -1,5 +1,7 @@
 """CSV loading, encoders, splitting, and the synthetic generators."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,62 @@ def test_load_csv_errors(tmp_path):
     ds = load_csv(write(tmp_path / "ok.csv", "a,y\n1.0,0.5\n2.0,1.5\n"),
                   schema, task="rank")
     assert np.array_equal(ds.targets, [0.5, 1.5])
+
+
+def write_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def test_load_csv_parses_cells_exactly_as_float(tmp_path):
+    odd = ["1_0", " 2.5 ", "+3", "1e3", "-0.0", ".5"]
+    rows = [["a", "c", "b", "y"]] + [[odd[i], f"k{i % 2}", odd[-1 - i], odd[i - 1]]
+                                     for i in range(len(odd))]
+    schema = {"a": "continuous", "b": "continuous", "c": "categorical", "y": "target"}
+    ds = load_csv(write_rows(tmp_path / "odd.csv", rows), schema, task="rank")
+    expected = np.array([[float(r[0]), 0.0, float(r[2])] for r in rows[1:]])
+    assert ds.features.tobytes() == expected.tobytes()  # -0.0 keeps its sign
+    assert ds.targets.tobytes() == np.array([float(r[3]) for r in rows[1:]]).tobytes()
+    assert ds.cat_raw == {1: ["k0", "k1"] * 3}
+
+
+LOAD_CSV_ERRORS = [
+    # (a cell of column b, or a whole row, for row 2; task; the exact message)
+    ("nan", "rank", "row 2: non-finite value 'nan' in continuous column 'b'"),
+    ("inf", "rank", "row 2: non-finite value 'inf' in continuous column 'b'"),
+    ("-1e999", "rank", "row 2: non-finite value '-1e999' in continuous column 'b'"),
+    ("0x1p3", "rank", "row 2: non-numeric value '0x1p3' in continuous column 'b'"),
+    ("", "rank", "row 2: non-numeric value '' in continuous column 'b'"),
+    ("abc", "rank", "row 2: non-numeric value 'abc' in continuous column 'b'"),
+    (["1.0", "x"], "rank", "row 2: expected 4 cells, got 2"),
+    (["1.0", "x", "2.0", "0", "5"], "rank", "row 2: expected 4 cells, got 5"),
+    (["1.0", "x", "2.0", "seven"], "rank",
+     "row 2: non-numeric value 'seven' in continuous column 'y'"),
+    (["1.0", "x", "2.0", "-1"], "class",
+     "row 2: classification target must be a non-negative integer, got np.float64(-1.0)"),
+    (["1.0", "x", "2.0", "0.5"], "class",
+     "row 2: classification target must be a non-negative integer, got np.float64(0.5)"),
+]
+
+
+@pytest.mark.parametrize("bad,task,message", LOAD_CSV_ERRORS)
+def test_load_csv_errors_name_the_first_bad_cell(tmp_path, bad, task, message):
+    rows = [["a", "c", "b", "y"]] + [["1.0", "x", "2.0", "1"] for _ in range(6)]
+    rows[2] = bad if isinstance(bad, list) else ["1.0", "x", bad, "1"]
+    schema = {"a": "continuous", "b": "continuous", "c": "categorical", "y": "target"}
+    variants = [rows]
+    if task == "rank":
+        # cells are checked in row-major order, so row 2's error is still the
+        # one named when row 5's first cell is bad too (the class-target
+        # check runs only once every cell has parsed)
+        later = [row[:] for row in rows]
+        later[5][0] = "bad"
+        variants.append(later)
+    for variant in variants:
+        with pytest.raises(DataError) as err:
+            load_csv(write_rows(tmp_path / "bad.csv", variant), schema, task=task)
+        assert str(err.value) == message
 
 
 def test_load_csv_rejects_an_overlong_field(tmp_path):

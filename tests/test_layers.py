@@ -309,3 +309,8 @@ def test_sigmoid_stable_and_correct():
     assert s[0] == 0.0 and s[4] == 1.0  # saturates cleanly, no overflow
     mid = np.linspace(-20, 20, 41)
     assert np.max(np.abs(sigmoid(mid) - 1.0 / (1.0 + np.exp(-mid)))) <= 1e-12
+    # bit for bit the tanh expression, and the input is left as it was
+    wide = np.linspace(-900, 900, 10001)
+    before = wide.copy()
+    assert np.array_equal(sigmoid(wide), 0.5 * (1.0 + np.tanh(0.5 * wide)))
+    assert np.array_equal(wide, before)

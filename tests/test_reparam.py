@@ -8,6 +8,7 @@ import pytest
 from danet import (ContainerError, DANet, DANetConfig, GhostBatchNorm, Rng, ShapeError,
                    compress_model, compress_unit, count_flops, count_flops_folded,
                    fold_bn, fold_mask, load_model, save_model)
+from danet import network
 from danet.layers import AbstractUnit
 
 
@@ -103,6 +104,26 @@ def _trained_model(seed, depth=4, n_features=6, steps=5):
     return model, rng
 
 
+def test_compressed_units_compute_the_folded_expression_bitwise():
+    model, rng = _trained_model(21)
+    for block in compress_model(model).blocks:
+        for _, layer in block.children():
+            x = rng.standard_normal((300, layer.in_dim)) * 2.0
+            before = x.copy()
+            outs = []
+            for u in layer.units:
+                gate = 0.5 * (1.0 + np.tanh(0.5 * (x @ u.w1s.T + u.b1s)))
+                expected = np.maximum(gate * (x @ u.w2s.T + u.b2s), 0.0)
+                outs.append(u.forward(x))
+                assert np.array_equal(outs[-1], expected)
+                assert np.array_equal(x, before)
+            total = outs[0]
+            for out in outs[1:]:
+                total = total + out
+            assert np.array_equal(layer.forward(x), total)
+            assert np.array_equal(x, before)
+
+
 def test_compress_model_matches_on_fresh_inputs():
     model, rng = _trained_model(5)
     cmodel = compress_model(model)
@@ -131,7 +152,8 @@ def test_predict_in_blocks_equals_one_scores_call(task):
     model = DANet(6, cfg, ghost_size=8, seed=41)
     for _ in range(3):  # populate the running statistics
         model.forward(rng.standard_normal((16, 6)), train=True, rng=rng)
-    x = rng.standard_normal((2 * 8192 + 123, 6))  # two full blocks and a short one
+    n = 2 * network.PREDICT_BLOCK + 123  # two full blocks and a short one
+    x = rng.standard_normal((n, 6))
     for m in (model, compress_model(model)):
         whole = m.scores(x)
         got = m.predict(x)
@@ -142,7 +164,7 @@ def test_predict_in_blocks_equals_one_scores_call(task):
         empty = m.predict(np.zeros((0, 6)))
         assert empty.shape == (0,)
         with pytest.raises(ShapeError):
-            m.predict(np.zeros((2 * 8192, 5)))
+            m.predict(np.zeros((n, 5)))
 
 
 def test_compressed_model_validates_input():
