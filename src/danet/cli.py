@@ -14,8 +14,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from .data import (DataError, load_csv, PreprocessState, read_schema,
                    stratified_split, synth_generate, write_csv)
 from .entmax import entmax15

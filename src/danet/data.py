@@ -191,7 +191,7 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
             bad = int(np.argmax((targets_f < 0) | (targets_f != np.round(targets_f)))) + 1
             raise DataError(
                 f"row {bad}: classification target must be a non-negative integer, "
-                f"got {targets_f[bad - 1]!r}"
+                f"got {float(targets_f[bad - 1])!r}"
             )
         targets = targets_f.astype(np.int64)
     else:

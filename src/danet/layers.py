@@ -284,7 +284,8 @@ class LayerCtx:
 
 
 class AbstractLayer(Module):
-    """K parallel abstraction branches fused by elementwise sum."""
+    """K parallel abstraction branches fused by elementwise sum; in a
+    compressed model the branches are folded units."""
 
     def __init__(self, in_dim: int, out_dim: int, branches: int, ghost_size: int,
                  rng: np.random.Generator):
@@ -295,11 +296,11 @@ class AbstractLayer(Module):
         self.units = [AbstractUnit(in_dim, out_dim, ghost_size, rng) for _ in range(branches)]
 
     def forward(self, f: np.ndarray, train: bool):
-        total = None
-        ctxs = []
-        for unit in self.units:
+        total, ctx = self.units[0].forward(f, train)
+        ctxs = [ctx]
+        for unit in self.units[1:]:
             out, ctx = unit.forward(f, train)
-            total = out if total is None else total + out
+            total += out  # into the first branch's output, which no context keeps
             ctxs.append(ctx)
         if not train:
             return total, None

@@ -142,6 +142,8 @@ class BasicBlock(Module):
     """Two chained abstraction layers plus a raw-feature shortcut layer.
 
     out = main2(main1(f_prev)) + dropout(shortcut(x_raw))
+
+    A compressed model keeps this block and its layers, with folded units.
     """
 
     CHILDREN = ("main1", "main2", "shortcut")
@@ -160,17 +162,18 @@ class BasicBlock(Module):
         """``uniforms``: one uniform draw per shortcut output, which training
         mode needs when the block has dropout."""
         m1, c1 = self.main1.forward(f_prev, train)
-        m2, c2 = self.main2.forward(m1, train)
+        out, c2 = self.main2.forward(m1, train)
+        del m1  # in eval mode nothing else holds it: freed before the shortcut runs
         s, cs = self.shortcut.forward(x_raw, train)
         drop_mask = None
         if train and self.dropout > 0.0:
             if uniforms is None:
-                raise ValueError("BasicBlock: dropout in training mode needs an rng "
-                                 "or drawn uniforms")
+                raise ValueError("BasicBlock: dropout in training mode needs the shortcut's "
+                                 "dropout uniforms (DANet.forward draws them from its rng)")
             keep = uniforms >= self.dropout
             drop_mask = keep / (1.0 - self.dropout)  # inverted dropout
             s = s * drop_mask
-        out = m2 + s
+        out += s  # into main2's output, which no context keeps
         if not train:
             return out, None
         return out, BlockCtx(main1_ctx=c1, main2_ctx=c2, shortcut_ctx=cs, drop_mask=drop_mask)

@@ -6,7 +6,8 @@ an affine map per feature, the whole branch collapses into two biased affine
 maps: scale each weight column by the mask entry, then scale each row by
 gamma/sigma and fold the BN shift into a bias. The compressed model computes
 exactly the same function (up to float round-off) with the mask projection
-and normalization gone.
+and normalization gone. Only the units change: the compressed model runs the
+live model's blocks and layers, each unit replaced by its folded form.
 """
 
 from __future__ import annotations
@@ -17,18 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entmax import entmax15
-from .layers import AbstractLayer, GhostBatchNorm, Module, sigmoid
-from .network import BasicBlock, DANet, DANetConfig, MlpHead, Network
+from .layers import GhostBatchNorm, Module, sigmoid
+from .network import DANet, DANetConfig, MlpHead, Network
 from .numerics import ShapeError
-
-
-def fold_mask(w: np.ndarray, mask_probs: np.ndarray) -> np.ndarray:
-    """Scale column j of w by mask_probs[j]; exact mask zeros give exactly-zero columns."""
-    if w.ndim != 2 or mask_probs.ndim != 1 or w.shape[1] != mask_probs.shape[0]:
-        raise ShapeError(
-            f"fold_mask: w {w.shape} incompatible with mask {mask_probs.shape}"
-        )
-    return w * mask_probs
 
 
 def fold_bn(w_prime: np.ndarray, bn: GhostBatchNorm):
@@ -64,57 +56,28 @@ class CompressedUnit(Module):
     def out_dim(self) -> int:
         return self.w1s.shape[0]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # in place, bitwise the docstring's expression: two block-sized
+    def forward(self, x: np.ndarray, train: bool):
+        """(out, None), as an eval-mode ``AbstractUnit.forward`` returns; a
+        folded unit has no training mode."""
+        if train:
+            raise ValueError("CompressedUnit: a folded unit has no training mode")
+        # in place, bitwise the class docstring's expression: two block-sized
         # arrays and sigmoid's one, not a fresh array per step
         z = x @ self.w1s.T
         z += self.b1s
         h = x @ self.w2s.T
         h += self.b2s
         h *= sigmoid(z)
-        return np.maximum(h, 0.0, out=h)
+        return np.maximum(h, 0.0, out=h), None
 
     def leaves(self):
         return [("w1s", "weight", self.w1s), ("b1s", "bias", self.b1s),
                 ("w2s", "weight", self.w2s), ("b2s", "bias", self.b2s)]
 
 
-class CompressedLayer(Module):
-    """K folded branches fused by elementwise sum."""
-
-    def __init__(self, units: list):
-        if not units:
-            raise ValueError("CompressedLayer: needs at least one unit")
-        self.units = units
-        self.in_dim = units[0].in_dim
-        self.out_dim = units[0].out_dim
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        total = self.units[0].forward(x)
-        for unit in self.units[1:]:
-            total += unit.forward(x)
-        return total
-
-    children = AbstractLayer.children  # branch k is named u{k}, as in the live layer
-
-
-class CompressedBlock(Module):
-    CHILDREN = BasicBlock.CHILDREN
-
-    def __init__(self, main1: CompressedLayer, main2: CompressedLayer,
-                 shortcut: CompressedLayer):
-        self.main1 = main1
-        self.main2 = main2
-        self.shortcut = shortcut
-
-    def forward(self, f_prev: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
-        out = self.main2.forward(self.main1.forward(f_prev))
-        out += self.shortcut.forward(x_raw)
-        return out
-
-
 class CompressedModel(Network):
-    """Inference-only model producing the same outputs as the source network."""
+    """Inference-only model producing the same outputs as the source network:
+    its blocks and layers are the source's, each unit a ``CompressedUnit``."""
 
     def __init__(self, n_features: int, config: DANetConfig, blocks: list, head: MlpHead):
         self.n_features = n_features
@@ -126,7 +89,7 @@ class CompressedModel(Network):
         x = self._check_input(x)
         f = x
         for block in self.blocks:
-            f = block.forward(f, x)
+            f, _ = block.forward(f, x, train=False)
         out, _ = self.head.forward(f, train=False)
         return out
 
@@ -143,25 +106,27 @@ def compress_unit(unit) -> CompressedUnit:
                 f"compress_unit: {label} running statistics are unpopulated; "
                 "train at least one step or load trained statistics first"
             )
-    mask = entmax15(unit.mask_logits).probs
-    w1p = fold_mask(unit.w1, mask)
-    w2p = fold_mask(unit.w2, mask)
-    w1s, b1s = fold_bn(w1p, unit.bn1)
-    w2s, b2s = fold_bn(w2p, unit.bn2)
+    mask = entmax15(unit.mask_logits).probs  # exact zeros give exactly-zero columns
+    w1s, b1s = fold_bn(unit.w1 * mask, unit.bn1)
+    w2s, b2s = fold_bn(unit.w2 * mask, unit.bn2)
     return CompressedUnit(w1s=w1s, b1s=b1s, w2s=w2s, b2s=b2s)
 
 
 def _fold_units(model: DANet, fold) -> CompressedModel:
-    """``model``'s structure with every unit replaced by ``fold(unit)``."""
-    blocks = [CompressedBlock(*(CompressedLayer([fold(u) for u in layer.units])
-                                for _, layer in block.children()))
-              for block in model.blocks]
+    """``model``'s blocks and layers, copied shallowly, with every unit
+    replaced by ``fold(unit)``; the live units are neither copied nor kept."""
+    blocks = [copy.copy(block) for block in model.blocks]
+    for block in blocks:
+        for role, layer in block.children():
+            folded = copy.copy(layer)
+            folded.units = [fold(u) for u in layer.units]
+            setattr(block, role, folded)
     return CompressedModel(n_features=model.n_features, config=copy.deepcopy(model.config),
                            blocks=blocks, head=copy.deepcopy(model.head))
 
 
 def compress_model(model: DANet) -> CompressedModel:
-    """Fold every abstraction layer; the head is copied unchanged."""
+    """Fold every abstraction unit; the head is copied unchanged."""
     return _fold_units(model, compress_unit)
 
 

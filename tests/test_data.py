@@ -113,9 +113,9 @@ LOAD_CSV_ERRORS = [
     (["1.0", "x", "2.0", "seven"], "rank",
      "row 2: non-numeric value 'seven' in continuous column 'y'"),
     (["1.0", "x", "2.0", "-1"], "class",
-     "row 2: classification target must be a non-negative integer, got np.float64(-1.0)"),
+     "row 2: classification target must be a non-negative integer, got -1.0"),
     (["1.0", "x", "2.0", "0.5"], "class",
-     "row 2: classification target must be a non-negative integer, got np.float64(0.5)"),
+     "row 2: classification target must be a non-negative integer, got 0.5"),
 ]
 
 

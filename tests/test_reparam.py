@@ -5,21 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from danet import (ContainerError, DANet, DANetConfig, GhostBatchNorm, Rng, ShapeError,
-                   compress_model, compress_unit, count_flops, count_flops_folded,
-                   fold_bn, fold_mask, load_model, save_model)
+from danet import (AbstractLayer, BasicBlock, CompressedUnit, ContainerError, DANet,
+                   DANetConfig, GhostBatchNorm, Rng, ShapeError, compress_model,
+                   compress_unit, count_flops, count_flops_folded, fold_bn, load_model,
+                   save_model)
 from danet import network
 from danet.layers import AbstractUnit
-
-
-def test_fold_mask_scales_columns_and_keeps_exact_zeros():
-    w = np.arange(6.0).reshape(2, 3) + 1.0
-    out = fold_mask(w, np.array([0.5, 0.0, 2.0]))
-    assert np.array_equal(out, np.array([[0.5, 0.0, 6.0], [2.0, 0.0, 12.0]]))
-    assert np.all(out[:, 1] == 0.0)
-    assert np.array_equal(w, np.arange(6.0).reshape(2, 3) + 1.0)  # input untouched
-    with pytest.raises(ShapeError):
-        fold_mask(w, np.array([1.0, 2.0]))
 
 
 def test_fold_bn_identity_when_stats_cancel():
@@ -67,7 +58,7 @@ def test_compress_unit_reproduces_eval_forward():
     cunit = compress_unit(unit)
     x = rng.standard_normal((50, 7)) * 2.0
     live, _ = unit.forward(x, train=False)
-    assert np.max(np.abs(cunit.forward(x) - live)) <= 1e-10
+    assert np.max(np.abs(cunit.forward(x, train=False)[0] - live)) <= 1e-10
     assert cunit.in_dim == 7 and cunit.out_dim == 4
 
 
@@ -106,22 +97,73 @@ def _trained_model(seed, depth=4, n_features=6, steps=5):
 
 def test_compressed_units_compute_the_folded_expression_bitwise():
     model, rng = _trained_model(21)
-    for block in compress_model(model).blocks:
+    cmodel = compress_model(model)
+    for block in cmodel.blocks:
+        assert type(block) is BasicBlock
         for _, layer in block.children():
+            assert type(layer) is AbstractLayer
             x = rng.standard_normal((300, layer.in_dim)) * 2.0
             before = x.copy()
             outs = []
             for u in layer.units:
+                assert type(u) is CompressedUnit
                 gate = 0.5 * (1.0 + np.tanh(0.5 * (x @ u.w1s.T + u.b1s)))
                 expected = np.maximum(gate * (x @ u.w2s.T + u.b2s), 0.0)
-                outs.append(u.forward(x))
+                out, ctx = u.forward(x, train=False)
+                assert ctx is None
+                outs.append(out)
                 assert np.array_equal(outs[-1], expected)
                 assert np.array_equal(x, before)
             total = outs[0]
             for out in outs[1:]:
                 total = total + out
-            assert np.array_equal(layer.forward(x), total)
+            assert np.array_equal(layer.forward(x, train=False)[0], total)
             assert np.array_equal(x, before)
+            with pytest.raises(ValueError, match="no training mode"):
+                layer.units[0].forward(x, train=True)
+
+    # a block adds the shortcut into main2's output in place, in the folded
+    # and the live model alike: bitwise the out-of-place sum
+    for live, folded in zip(model.blocks, cmodel.blocks):
+        f = rng.standard_normal((300, live.in_dim)) * 2.0
+        x = rng.standard_normal((300, model.n_features)) * 2.0
+        f0, x0 = f.copy(), x.copy()
+        for block in (folded, live):
+            m1, _ = block.main1.forward(f, train=False)
+            m2, _ = block.main2.forward(m1, train=False)
+            s, _ = block.shortcut.forward(x, train=False)
+            out, ctx = block.forward(f, x, train=False)
+            assert ctx is None
+            assert np.array_equal(out, m2 + s)
+            assert np.array_equal(f, f0) and np.array_equal(x, x0)
+
+
+def test_compressed_tensor_directory_is_pinned(tmp_path):
+    rng = Rng(30)
+    model = DANet(5, DANetConfig(depth=2, k0=2, d0=3, d1=4), ghost_size=8, seed=31)
+    for _ in range(2):
+        model.forward(rng.standard_normal((16, 5)), train=True, rng=rng)
+    cmodel = compress_model(model)
+    names = [name for name, _, _ in cmodel.named_params()]
+    assert names == [
+        "block0.main1.u0.w1s", "block0.main1.u0.b1s", "block0.main1.u0.w2s", "block0.main1.u0.b2s",
+        "block0.main1.u1.w1s", "block0.main1.u1.b1s", "block0.main1.u1.w2s", "block0.main1.u1.b2s",
+        "block0.main2.u0.w1s", "block0.main2.u0.b1s", "block0.main2.u0.w2s", "block0.main2.u0.b2s",
+        "block0.main2.u1.w1s", "block0.main2.u1.b1s", "block0.main2.u1.w2s", "block0.main2.u1.b2s",
+        "block0.shortcut.u0.w1s", "block0.shortcut.u0.b1s",
+        "block0.shortcut.u0.w2s", "block0.shortcut.u0.b2s",
+        "block0.shortcut.u1.w1s", "block0.shortcut.u1.b1s",
+        "block0.shortcut.u1.w2s", "block0.shortcut.u1.b2s",
+        "head.w0", "head.b0", "head.w1", "head.b1", "head.w2", "head.b2",
+    ]
+    # each live unit's mask/w1/w2/bn1.*/bn2.* becomes one folded unit, in order
+    live_units = [n.rsplit(".", 1)[0] for n, _, _ in model.named_params() if n.endswith(".mask")]
+    assert [n.rsplit(".", 1)[0] for n in names if n.endswith(".w1s")] == live_units
+    assert cmodel.named_buffers() == []
+    path = tmp_path / "c.danet"
+    save_model(path, cmodel)
+    manifest = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    assert [t["name"] for t in manifest["tensors"]] == names
 
 
 def test_compress_model_matches_on_fresh_inputs():
