@@ -28,7 +28,7 @@ if __name__ == "__main__":
     cmodel = compress_model(model)
     x = np.random.default_rng(99).standard_normal((500, 11))
     ref, _ = model.forward(x, train=False)
-    diff = float(np.max(np.abs(cmodel.forward(x) - ref)))
+    diff = float(np.max(np.abs(cmodel.scores(x) - ref)))
     same = bool(np.array_equal(cmodel.predict(x), model.predict(x)))
     print(f"max |folded - eval| over 500 inputs: {diff:.3e}")
     print(f"predictions identical: {same}\n")

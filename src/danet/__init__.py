@@ -11,8 +11,7 @@ from .entmax import EntmaxResult, entmax15, entmax15_backward
 from .layers import AbstractLayer, AbstractUnit, GhostBatchNorm, relu, sigmoid
 from .network import (BasicBlock, DANet, DANetConfig, FlopsReport, MlpHead,
                       count_flops, count_flops_folded)
-from .reparam import (CompressedModel, CompressedUnit, compress_model, compress_unit,
-                      fold_bn)
+from .reparam import CompressedUnit, compress_model, compress_unit, fold_bn
 from .training import (FitResult, QhAdam, TrainConfig, TrainingError,
                        batch_gradients, cross_entropy, evaluate, fit, history_to_csv,
                        lr_at, mse)
@@ -29,7 +28,7 @@ __all__ = [
     "AbstractLayer", "AbstractUnit", "GhostBatchNorm", "relu", "sigmoid",
     "BasicBlock", "DANet", "DANetConfig", "FlopsReport", "MlpHead",
     "count_flops", "count_flops_folded",
-    "CompressedModel", "CompressedUnit", "compress_model", "compress_unit", "fold_bn",
+    "CompressedUnit", "compress_model", "compress_unit", "fold_bn",
     "FitResult", "QhAdam", "TrainConfig", "TrainingError", "batch_gradients",
     "cross_entropy", "evaluate", "fit", "history_to_csv", "lr_at", "mse",
     "DataError", "Dataset", "LooTable", "PreprocessState", "ZscoreStats",

@@ -18,7 +18,7 @@ from .data import (DataError, load_csv, PreprocessState, read_schema,
                    stratified_split, synth_generate, write_csv)
 from .entmax import entmax15
 from .network import DANet, DANetConfig, count_flops, count_flops_folded
-from .reparam import CompressedModel, compress_model
+from .reparam import compress_model
 from .serialize import ContainerError, load_model, save_model
 from .training import TrainConfig, evaluate, fit, history_to_csv, TrainingError
 
@@ -169,7 +169,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compress(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
-    if isinstance(bundle.model, CompressedModel):
+    if bundle.model.compressed:
         raise ConfigError("compress: model is already compressed")
     cmodel = compress_model(bundle.model)
     save_model(args.out, cmodel, feature_names=bundle.feature_names,
@@ -185,7 +185,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
 def cmd_mask_report(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
     model = bundle.model
-    if isinstance(model, CompressedModel):
+    if model.compressed:
         raise ConfigError("mask-report: masks are folded away in a compressed model")
     names = bundle.feature_names or [f"f{i}" for i in range(model.n_features)]
     # the units that read the raw features, in walk order
@@ -215,7 +215,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
     model = bundle.model
     report = count_flops(model)
-    if isinstance(model, CompressedModel):
+    if model.compressed:
         width = max(len(n) for n, _ in report.lines)
         for name, n in report.lines:
             print(f"{name:<{width}}  {n}")

@@ -256,6 +256,10 @@ class PreprocessState:
     def apply(self, ds: Dataset) -> Dataset:
         if self.zstats is None:
             raise DataError("PreprocessState: fit before apply")
+        width = len(self.loo_tables) + len(self.zstats.cols)
+        if ds.n_features != width:
+            raise DataError(f"PreprocessState: dataset has {ds.n_features} feature columns, "
+                            f"fit saw {width}")
         if sorted(self.loo_tables) != sorted(ds.cat_raw):
             raise DataError("PreprocessState: categorical columns differ from those seen at fit")
         x = np.array(ds.features, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Network building blocks with explicit forward/backward passes.
+"""Building blocks of the network, with explicit forward/backward passes.
 
 Three pieces live here:
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import AbstractLayer, Module, relu
+from .layers import AbstractLayer, AbstractUnit, Module, relu
 from .numerics import Rng, ShapeError
 
 
@@ -203,45 +203,13 @@ class ModelCtx:
     used: bool = field(default=False)
 
 
-class Network(Module):
-    """What the live and the compressed network share: the parameter tree
-    (blocks, then the head), the input check and the label rule. Subclasses
-    set ``n_features``, ``config``, ``blocks`` and ``head``."""
-
-    @property
-    def task(self) -> str:
-        return self.config.task
-
-    def children(self):
-        return [(f"block{i}", block) for i, block in enumerate(self.blocks)] + [("head", self.head)]
-
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        name = type(self).__name__
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ShapeError(f"{name}: expected (rows, {self.n_features}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{name}: non-finite input")
-        return x
-
-    def predict(self, x) -> np.ndarray:
-        """Class labels (argmax of the logits, ties to the lowest index) or
-        the regression scores as a flat vector, scored in blocks of
-        ``PREDICT_BLOCK`` rows (one call for an empty input)."""
-        x = self._check_input(x)
-        starts = range(0, max(x.shape[0], 1), PREDICT_BLOCK)
-        out = np.concatenate([self.scores(x[s:s + PREDICT_BLOCK]) for s in starts])
-        if self.config.task == "class":
-            return np.argmax(out, axis=1)
-        return out[:, 0]
-
-
-class DANet(Network):
+class DANet(Module):
     """Stack of basic blocks plus the MLP head.
 
     ``depth`` main-path abstraction layers means depth/2 blocks; the first
     block reads the raw features, later blocks read the previous block's
-    output, and every block's shortcut reads the raw features.
+    output, and every block's shortcut reads the raw features. A compressed
+    model is a ``DANet`` whose units are folded; it has no training mode.
     """
 
     def __init__(self, n_features: int, config: DANetConfig, ghost_size: int = 256,
@@ -258,6 +226,26 @@ class DANet(Network):
             self.blocks.append(BasicBlock(in_dim, n_features, config, ghost_size, rng))
             in_dim = config.d0
         self.head = MlpHead(config.d0, config.hidden_width, config.out_dim, rng)
+
+    @property
+    def task(self) -> str:
+        return self.config.task
+
+    @property
+    def compressed(self) -> bool:
+        """True when the units are folded (``reparam.CompressedUnit``)."""
+        return not isinstance(self.blocks[0].main1.units[0], AbstractUnit)
+
+    def children(self):
+        return [(f"block{i}", block) for i, block in enumerate(self.blocks)] + [("head", self.head)]
+
+    def _check_input(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ShapeError(f"DANet: expected (rows, {self.n_features}), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("DANet: non-finite input")
+        return x
 
     def forward(self, x, train: bool = False, rng: np.random.Generator | None = None,
                 uniforms: list | None = None):
@@ -304,6 +292,17 @@ class DANet(Network):
         """Eval-mode forward: logits (rows, num_classes) or scores (rows, 1)."""
         out, _ = self.forward(x, train=False)
         return out
+
+    def predict(self, x) -> np.ndarray:
+        """Class labels (argmax of the logits, ties to the lowest index) or
+        the regression scores as a flat vector, scored in blocks of
+        ``PREDICT_BLOCK`` rows (one call for an empty input)."""
+        x = self._check_input(x)
+        starts = range(0, max(x.shape[0], 1), PREDICT_BLOCK)
+        out = np.concatenate([self.scores(x[s:s + PREDICT_BLOCK]) for s in starts])
+        if self.config.task == "class":
+            return np.argmax(out, axis=1)
+        return out[:, 0]
 
     def state_dict(self) -> dict:
         """Deep copy of all parameters, running stats, and BN update counts."""
@@ -372,7 +371,7 @@ def _count(model, folded: bool) -> FlopsReport:
 
 def count_flops(model) -> FlopsReport:
     """Inference cost of one instance for a live or compressed model."""
-    return _count(model, folded=not isinstance(model, DANet))
+    return _count(model, folded=model.compressed)
 
 
 def count_flops_folded(model) -> FlopsReport:

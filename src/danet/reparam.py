@@ -6,8 +6,8 @@ an affine map per feature, the whole branch collapses into two biased affine
 maps: scale each weight column by the mask entry, then scale each row by
 gamma/sigma and fold the BN shift into a bias. The compressed model computes
 exactly the same function (up to float round-off) with the mask projection
-and normalization gone. Only the units change: the compressed model runs the
-live model's blocks and layers, each unit replaced by its folded form.
+and normalization gone. Only the units change: the compressed model is a
+``DANet`` with the live blocks and layers, each unit in its folded form.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entmax import entmax15
-from .layers import GhostBatchNorm, Module, sigmoid
-from .network import DANet, DANetConfig, MlpHead, Network
+from .layers import AbstractUnit, GhostBatchNorm, Module, sigmoid
+from .network import DANet
 from .numerics import ShapeError
 
 
@@ -75,31 +75,11 @@ class CompressedUnit(Module):
                 ("w2s", "weight", self.w2s), ("b2s", "bias", self.b2s)]
 
 
-class CompressedModel(Network):
-    """Inference-only model producing the same outputs as the source network:
-    its blocks and layers are the source's, each unit a ``CompressedUnit``."""
-
-    def __init__(self, n_features: int, config: DANetConfig, blocks: list, head: MlpHead):
-        self.n_features = n_features
-        self.config = config
-        self.blocks = blocks
-        self.head = head
-
-    def forward(self, x) -> np.ndarray:
-        x = self._check_input(x)
-        f = x
-        for block in self.blocks:
-            f, _ = block.forward(f, x, train=False)
-        out, _ = self.head.forward(f, train=False)
-        return out
-
-    def scores(self, x) -> np.ndarray:
-        """The forward output: logits (rows, num_classes) or scores (rows, 1)."""
-        return self.forward(x)
-
-
-def compress_unit(unit) -> CompressedUnit:
+def compress_unit(unit: AbstractUnit) -> CompressedUnit:
     """Fold one live unit. Requires populated BN running statistics."""
+    if not isinstance(unit, AbstractUnit):
+        raise ValueError(f"compress_unit: expected a live AbstractUnit, got "
+                         f"{type(unit).__name__} (already folded?)")
     for label, bn in unit.children():
         if bn.updates < 1:
             raise ValueError(
@@ -112,25 +92,29 @@ def compress_unit(unit) -> CompressedUnit:
     return CompressedUnit(w1s=w1s, b1s=b1s, w2s=w2s, b2s=b2s)
 
 
-def _fold_units(model: DANet, fold) -> CompressedModel:
-    """``model``'s blocks and layers, copied shallowly, with every unit
+def _fold_units(model: DANet, fold) -> DANet:
+    """A shallow copy of ``model`` (its blocks and layers too) with every unit
     replaced by ``fold(unit)``; the live units are neither copied nor kept."""
-    blocks = [copy.copy(block) for block in model.blocks]
-    for block in blocks:
+    if model.compressed:
+        raise ValueError("compress_model: model is already compressed")
+    twin = copy.copy(model)
+    twin.config = copy.deepcopy(model.config)
+    twin.head = copy.deepcopy(model.head)
+    twin.blocks = [copy.copy(block) for block in model.blocks]
+    for block in twin.blocks:
         for role, layer in block.children():
             folded = copy.copy(layer)
             folded.units = [fold(u) for u in layer.units]
             setattr(block, role, folded)
-    return CompressedModel(n_features=model.n_features, config=copy.deepcopy(model.config),
-                           blocks=blocks, head=copy.deepcopy(model.head))
+    return twin
 
 
-def compress_model(model: DANet) -> CompressedModel:
+def compress_model(model: DANet) -> DANet:
     """Fold every abstraction unit; the head is copied unchanged."""
     return _fold_units(model, compress_unit)
 
 
-def compressed_like(model: DANet) -> CompressedModel:
+def compressed_like(model: DANet) -> DANet:
     """A zero-filled compressed model with the tensor shapes ``model`` folds
     to, for a loader to fill."""
     def zeros(unit):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import LooTable, PreprocessState, ZscoreStats
 from .network import DANet, DANetConfig
-from .reparam import CompressedModel, compressed_like
+from .reparam import compressed_like
 
 MAGIC = b"DANET1"
 FORMAT_NAME = "danet-container"
@@ -99,7 +99,7 @@ def save_model(path, model, feature_names=None, feature_kinds=None,
         _preprocess_from_manifest(stored_preprocess, model.n_features)
     except ValueError as e:
         raise ContainerError(f"save_model: {e}") from None
-    compressed = isinstance(model, CompressedModel)
+    compressed = model.compressed
     tensors = _tensors(model)
     manifest = {
         "format": FORMAT_NAME,
@@ -107,7 +107,7 @@ def save_model(path, model, feature_names=None, feature_kinds=None,
         "compressed": compressed,
         "config": asdict(model.config),
         "n_features": model.n_features,
-        "ghost_size": getattr(model, "ghost_size", None),
+        "ghost_size": None if compressed else model.ghost_size,
         "target": target_name,
         "features": (
             None if feature_names is None
@@ -130,7 +130,7 @@ def save_model(path, model, feature_names=None, feature_kinds=None,
 class LoadedModel:
     """A deserialized container: the model plus whatever rode along with it."""
 
-    model: object  # DANet or CompressedModel
+    model: DANet  # live or compressed
     feature_names: list | None
     feature_kinds: list | None
     preprocess: PreprocessState | None

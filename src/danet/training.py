@@ -11,6 +11,7 @@ matrices only, not biases, batch-norm affine parameters, or mask logits.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,8 @@ class TrainConfig:
                 f"TrainConfig: need 1 <= ghost_size <= batch_size, got "
                 f"ghost_size={self.ghost_size}, batch_size={self.batch_size}"
             )
-        if self.lr0 <= 0:
-            raise ValueError(f"TrainConfig: lr0 must be positive, got {self.lr0}")
+        if not 0.0 < self.lr0 < math.inf:  # false for nan too
+            raise ValueError(f"TrainConfig: lr0 must be positive and finite, got {self.lr0}")
         if not 0 < self.decay_factor <= 1:
             raise ValueError(f"TrainConfig: decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.decay_every < 1:
@@ -61,8 +62,11 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"TrainConfig: {name} must be in [0, 1], got {v}")
-        if self.weight_decay < 0 or self.eps <= 0:
-            raise ValueError("TrainConfig: weight_decay must be >= 0 and eps > 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"TrainConfig: weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"TrainConfig: eps must be positive and finite, got {self.eps}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("TrainConfig: max_epochs and patience must be >= 1")
 

@@ -156,6 +156,19 @@ def test_eval_with_explicit_schema(trained, capsys):
     assert code == 0 and stdout.startswith("accuracy=")
 
 
+def test_eval_with_a_schema_narrower_than_the_model_fails_cleanly(trained, tmp_path, capsys):
+    _, _, out_dir, data, _ = trained
+    rows = [line.split(",") for line in data.read_text().splitlines()]
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("\n".join(",".join(r[1:]) for r in rows) + "\n")  # v0 dropped
+    schema = tmp_path / "narrow.schema"
+    schema.write_text("".join(f"{n}=continuous\n" for n in rows[0][1:-1]) + "target=target\n")
+    code, _, err = run(capsys, "eval", "--model", str(out_dir / "model.danet"),
+                       "--data", str(narrow), "--schema", str(schema))
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert "10 feature columns, fit saw 11" in err
+
+
 def test_eval_requires_a_schema_from_somewhere(tmp_path, capsys):
     model = DANet(11, DANetConfig(depth=2, k0=1, d0=2, d1=2), seed=0)
     bare = tmp_path / "bare.danet"
@@ -184,6 +197,9 @@ def test_compress_preserves_the_metric(trained, tmp_path, capsys):
     code, _, err = run(capsys, "compress", "--model", str(small),
                        "--out", str(tmp_path / "again.danet"))
     assert code == 1 and "already compressed" in err
+    code, _, err = run(capsys, "mask-report", "--model", str(small),
+                       "--out", str(tmp_path / "masks.csv"))
+    assert code == 1 and "masks are folded away" in err
 
 
 def test_mask_report_rows_and_uniform_fresh_masks(tmp_path, capsys):
@@ -254,6 +270,16 @@ def test_train_rejects_a_validation_split_that_rounds_to_zero(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(data),
                        "--schema", str(schema), "--out", str(tmp_path / "run"))
     assert code == 1 and err.startswith("error:") and "empty validation set" in err
+    assert not (tmp_path / "run" / "model.danet").exists()
+
+    # one class only: there is nothing to classify
+    lines = data.read_text().splitlines()
+    one_class = tmp_path / "one.csv"
+    rows = [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]
+    one_class.write_text("\n".join([lines[0]] + rows) + "\n")
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(one_class),
+                       "--schema", str(schema), "--out", str(tmp_path / "run"))
+    assert code == 1 and err.startswith("error:") and "need at least 2 classes" in err
     assert not (tmp_path / "run" / "model.danet").exists()
 
 

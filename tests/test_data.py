@@ -66,6 +66,8 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path / "e.csv", "a,z\n1,2\n"), schema)
     with pytest.raises(DataError, match="not named in schema"):
         load_csv(write(tmp_path / "e.csv", "a,y,extra\n1,2,3\n"), schema)
+    with pytest.raises(DataError, match="duplicate CSV header"):
+        load_csv(write(tmp_path / "e.csv", "a,y,a\n1,2,3\n"), schema)
     with pytest.raises(DataError, match="row 2: expected 2 cells"):
         load_csv(write(tmp_path / "e.csv", "a,y\n1,0\n1\n"), schema)
     with pytest.raises(DataError, match="row 1: non-numeric"):
@@ -210,6 +212,17 @@ def test_preprocess_state_fit_apply_consistency(tmp_path):
 
     with pytest.raises(DataError, match="fit before apply"):
         PreprocessState().apply(ds)
+
+    # a dataset unlike the fit one: a column fewer, or the categorical one
+    # declared continuous
+    def like(cols, kinds):
+        return Dataset(features=ds.features[:, cols], targets=ds.targets,
+                       names=[ds.names[j] for j in cols], kinds=kinds, task="class")
+
+    with pytest.raises(DataError, match="1 feature columns, fit saw 2"):
+        pp.apply(like([0], ["continuous"]))
+    with pytest.raises(DataError, match="categorical columns differ"):
+        pp.apply(like([0, 1], ["continuous", "continuous"]))
 
 
 def test_preprocess_zscore_covers_encoded_categoricals():

@@ -368,6 +368,9 @@ def test_save_refuses_preprocessing_fit_on_other_columns(tmp_path):
     with pytest.raises(ContainerError, match="save_model: .*partition"):
         save_model(path, model, preprocess=pp)
     assert not path.exists()
+    with pytest.raises(ContainerError, match="save_model: preprocess state was never fit"):
+        save_model(path, model, preprocess=PreprocessState())
+    assert not path.exists()
 
 
 def test_container_keeps_float_precision(tmp_path):

@@ -176,6 +176,23 @@ def test_compress_model_matches_on_fresh_inputs():
     assert np.array_equal(model.predict(x), cmodel.predict(x))
 
 
+def test_a_compressed_model_is_a_danet_with_folded_units():
+    model, rng = _trained_model(14)
+    cmodel = compress_model(model)
+    assert type(cmodel) is DANet and cmodel.compressed and not model.compressed
+    assert cmodel.config == model.config and cmodel.config is not model.config
+    out, ctx = cmodel.forward(rng.standard_normal((5, 6)))
+    assert out.shape == (5, 2) and ctx is None
+    # a folded model has no training mode, and folding it again is refused
+    with pytest.raises(ValueError, match="no training mode"):
+        cmodel.forward(rng.standard_normal((16, 6)), train=True, rng=rng)
+    with pytest.raises(ValueError, match="already compressed"):
+        compress_model(cmodel)
+    with pytest.raises(ValueError, match="already folded"):
+        compress_unit(cmodel.blocks[0].main1.units[0])
+    assert not model.compressed  # the source keeps its live units
+
+
 def test_compress_model_is_detached_from_the_source():
     model, rng = _trained_model(6)
     cmodel = compress_model(model)

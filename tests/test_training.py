@@ -1,6 +1,7 @@
 """Losses, optimizer steps against hand-unrolled oracles, and the fit loop."""
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,12 @@ def test_train_config_validation():
                 dict(max_epochs=0), dict(patience=0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    # a non-finite rate, decay or epsilon fails here, naming its key, not
+    # steps later in entmax (or, for a nan decay, never)
+    for key in ("lr0", "weight_decay", "eps"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: value})
 
 
 def test_lr_schedule_steps_every_20_epochs():
@@ -357,6 +364,10 @@ def test_fit_rejects_an_empty_validation_set():
     tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=2, seed=22)
     with pytest.raises(TrainingError, match="empty validation set"):
         fit(_toy_model(23), train, valid, tcfg)
+    # an empty training split is refused too
+    no_rows = train.subset(np.zeros(0, dtype=np.int64))
+    with pytest.raises(TrainingError, match="empty training set"):
+        fit(_toy_model(23), no_rows, valid, tcfg)
 
 
 def test_fit_rejects_a_ghost_size_that_differs_from_the_model():
