@@ -10,7 +10,7 @@ printed at the end.
 import numpy as np
 
 from danet import (DANet, DANetConfig, PreprocessState, TrainConfig,
-                   compress_model, count_flops, count_flops_folded, fit,
+                   compress_model, count_flops, fit,
                    stratified_split, synth_generate)
 
 if __name__ == "__main__":
@@ -33,7 +33,7 @@ if __name__ == "__main__":
     print(f"max |folded - eval| over 500 inputs: {diff:.3e}")
     print(f"predictions identical: {same}\n")
 
-    live, folded = count_flops(model), count_flops_folded(model)
+    live, folded = count_flops(model), count_flops(cmodel)
     fdict = folded.as_dict()
     print(f"{'module':<16} {'live':>8} {'folded':>8}")
     for name, n in live.lines:

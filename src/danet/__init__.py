@@ -6,11 +6,11 @@ hyperbolic Adam training, and an exact structure re-parameterization that
 folds masks and batch normalization into plain affine maps for inference.
 """
 
-from .numerics import Rng, ShapeError, finite_diff_grad
+from .numerics import Rng, ShapeError
 from .entmax import EntmaxResult, entmax15, entmax15_backward
 from .layers import AbstractLayer, AbstractUnit, GhostBatchNorm, relu, sigmoid
 from .network import (BasicBlock, DANet, DANetConfig, FlopsReport, MlpHead,
-                      count_flops, count_flops_folded)
+                      count_flops)
 from .reparam import CompressedUnit, compress_model, compress_unit, fold_bn
 from .training import (FitResult, QhAdam, TrainConfig, TrainingError,
                        batch_gradients, cross_entropy, evaluate, fit, history_to_csv,
@@ -23,11 +23,11 @@ from .serialize import ContainerError, LoadedModel, load_model, save_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rng", "ShapeError", "finite_diff_grad",
+    "Rng", "ShapeError",
     "EntmaxResult", "entmax15", "entmax15_backward",
     "AbstractLayer", "AbstractUnit", "GhostBatchNorm", "relu", "sigmoid",
     "BasicBlock", "DANet", "DANetConfig", "FlopsReport", "MlpHead",
-    "count_flops", "count_flops_folded",
+    "count_flops",
     "CompressedUnit", "compress_model", "compress_unit", "fold_bn",
     "FitResult", "QhAdam", "TrainConfig", "TrainingError", "batch_gradients",
     "cross_entropy", "evaluate", "fit", "history_to_csv", "lr_at", "mse",

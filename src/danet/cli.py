@@ -14,11 +14,13 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from .data import (DataError, load_csv, PreprocessState, read_schema,
                    stratified_split, synth_generate, write_csv)
 from .entmax import entmax15
-from .network import DANet, DANetConfig, count_flops, count_flops_folded
-from .reparam import compress_model
+from .network import DANet, DANetConfig, count_flops
+from .reparam import compress_model, compressed_like
 from .serialize import ContainerError, load_model, save_model
 from .training import TrainConfig, evaluate, fit, history_to_csv, TrainingError
 
@@ -57,18 +59,22 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-            values[key] = _coerce(key, val)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
+        values[key] = _coerce(key, val)
     return values
 
 
@@ -107,9 +113,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     ds = load_csv(cfg.data, schema, task=cfg.task)
     num_classes = 2
     if cfg.task == "class":
-        num_classes = int(ds.targets.max()) + 1
+        # the head gets one logit per label, so the labels must be 0..C-1
+        labels = np.unique(ds.targets)
+        num_classes = len(labels)
         if num_classes < 2:
             raise DataError(f"train: need at least 2 classes, found {num_classes}")
+        if labels[-1] != num_classes - 1:
+            raise DataError(f"train: class labels must be 0..C-1 without gaps, found "
+                            f"{num_classes} distinct labels, the largest {labels[-1]}")
     train_raw, valid_raw = stratified_split(ds, frac=cfg.valid_frac, seed=cfg.seed)
     pp = PreprocessState()
     train_set = pp.fit(train_raw)
@@ -221,7 +232,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
             print(f"{name:<{width}}  {n}")
         print(f"{'total':<{width}}  {report.total}")
         return 0
-    folded = count_flops_folded(model)
+    folded = count_flops(compressed_like(model))
     width = max(len(n) for n, _ in report.lines)
     print(f"{'layer':<{width}}  {'original':>10}  {'compressed':>10}")
     for (name, n), (_, nf) in zip(report.lines, folded.lines):

@@ -81,21 +81,25 @@ def read_schema(path) -> dict:
     """Parse a schema file into an ordered {column: kind} mapping."""
     schema = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"schema line {lineno}: expected 'column=kind', got {line!r}")
-            name, kind = line.split("=", 1)
-            name, kind = name.strip(), kind.strip()
-            if kind not in SCHEMA_KINDS:
-                raise DataError(
-                    f"schema line {lineno}: kind must be one of {SCHEMA_KINDS}, got {kind!r}"
-                )
-            if name in schema:
-                raise DataError(f"schema line {lineno}: duplicate column {name!r}")
-            schema[name] = kind
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"schema line {lineno}: expected 'column=kind', got {line!r}")
+        name, kind = line.split("=", 1)
+        name, kind = name.strip(), kind.strip()
+        if kind not in SCHEMA_KINDS:
+            raise DataError(
+                f"schema line {lineno}: kind must be one of {SCHEMA_KINDS}, got {kind!r}"
+            )
+        if name in schema:
+            raise DataError(f"schema line {lineno}: duplicate column {name!r}")
+        schema[name] = kind
     targets = [n for n, k in schema.items() if k == "target"]
     if len(targets) != 1:
         raise DataError(f"schema must name exactly one target column, found {len(targets)}")
@@ -156,6 +160,8 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
             raise DataError(f"{path}: empty file, expected a header row") from None
         except csv.Error as e:  # e.g. a field over csv.field_size_limit()
             raise DataError(f"{path}: line {reader.line_num}: unreadable CSV: {e}") from None
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 

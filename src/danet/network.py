@@ -343,21 +343,24 @@ def _entmax_flops(n: int) -> int:
     return n * math.ceil(math.log2(n)) + n if n > 1 else 1
 
 
-def _unit_flops(unit, folded: bool) -> int:
+def _unit_flops(unit) -> int:
     m, d = unit.in_dim, unit.out_dim
     flops = 2 * (2 * d * m + d) + 3 * d  # two biased affines, sigmoid, gate product, ReLU
-    if not folded:
+    if isinstance(unit, AbstractUnit):
         # the mask projection and product run every forward, and each
         # eval-mode batch norm costs 2 per feature where a bias costs 1
         flops += _entmax_flops(m) + m + 2 * d
     return flops
 
 
-def _count(model, folded: bool) -> FlopsReport:
+def count_flops(model) -> FlopsReport:
+    """Inference cost of one instance for a live or compressed model. The
+    count depends only on shapes, so ``count_flops(compressed_like(model))``
+    is what the folded twin of an untrained model would cost."""
     lines = []
     for i, block in enumerate(model.blocks):
         for role, layer in block.children():
-            flops = sum(_unit_flops(u, folded) for u in layer.units)
+            flops = sum(_unit_flops(u) for u in layer.units)
             lines.append((f"block{i}.{role}", flops + (len(layer.units) - 1) * layer.out_dim))
         lines.append((f"block{i}.sum", block.main2.out_dim))
     head = model.head
@@ -367,17 +370,3 @@ def _count(model, folded: bool) -> FlopsReport:
     lines.append(("head.relu1", head.hidden))
     lines.append(("head.fc2", 2 * head.out_dim * head.hidden + head.out_dim))
     return FlopsReport(lines=lines, total=sum(n for _, n in lines))
-
-
-def count_flops(model) -> FlopsReport:
-    """Inference cost of one instance for a live or compressed model."""
-    return _count(model, folded=model.compressed)
-
-
-def count_flops_folded(model) -> FlopsReport:
-    """What the compressed twin of a live model would cost per instance.
-
-    Depends only on shapes, so it works on untrained models too (the actual
-    fold requires populated batch-norm statistics; this count does not).
-    """
-    return _count(model, folded=True)

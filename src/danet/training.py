@@ -3,9 +3,10 @@
 The optimizer interpolates between plain SGD and Adam through the two nu
 discount factors: the numerator mixes the bias-corrected first moment with
 the raw gradient, the denominator mixes the bias-corrected second moment
-with the squared gradient. nu1 = nu2 = 1 recovers Adam exactly. Weight decay
-is decoupled (a multiplicative shrink before the step) and applies to weight
-matrices only, not biases, batch-norm affine parameters, or mask logits.
+with the squared gradient (nu1 = nu2 = 1 would be Adam). These and the moment
+decays are fixed constants of the recipe. Weight decay is decoupled (a
+multiplicative shrink before the step) and applies to weight matrices only,
+not biases, batch-norm affine parameters, or mask logits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     """Optimization knobs. Defaults are the reference recipe: batch 8192 with
     ghost batches of 256, initial lr 0.008 decayed by 5% every 20 epochs,
-    decoupled weight decay 1e-5, discount factors (0.8, 1.0)."""
+    decoupled weight decay 1e-5."""
 
     batch_size: int = 8192
     ghost_size: int = 256
@@ -35,11 +36,6 @@ class TrainConfig:
     decay_factor: float = 0.95
     decay_every: int = 20
     weight_decay: float = 1e-5
-    nu1: float = 0.8
-    nu2: float = 1.0
-    beta1: float = 0.995
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 200
     patience: int = 30
     seed: int = 0
@@ -58,15 +54,9 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.decay_every < 1:
             raise ValueError(f"TrainConfig: decay_every must be >= 1, got {self.decay_every}")
-        for name in ("nu1", "nu2", "beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"TrainConfig: {name} must be in [0, 1], got {v}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(
                 f"TrainConfig: weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"TrainConfig: eps must be positive and finite, got {self.eps}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("TrainConfig: max_epochs and patience must be >= 1")
 
@@ -114,10 +104,6 @@ def mse(pred: np.ndarray, target: np.ndarray):
 
 def _bias_adj(beta: float, step: int) -> float:
     # weight of the running moment in the bias-corrected EMA at this step
-    if beta >= 1.0:
-        return 1.0 - 1.0 / step
-    if beta <= 0.0:
-        return 0.0
     return 1.0 - (1.0 - beta) / (1.0 - beta ** step)
 
 
@@ -129,6 +115,11 @@ class QhAdam:
     parameter names handed to the constructor.
     """
 
+    # the reference recipe's discount factors, moment decays and eps
+    nu1, nu2 = 0.8, 1.0
+    beta1, beta2 = 0.995, 0.999
+    eps = 1e-8
+
     def __init__(self, named_params: list, cfg: TrainConfig):
         self.cfg = cfg
         self.params = list(named_params)  # (name, kind, array)
@@ -139,8 +130,8 @@ class QhAdam:
     def step(self, grads: dict, lr: float) -> None:
         cfg = self.cfg
         self.steps += 1
-        adj1 = _bias_adj(cfg.beta1, self.steps)
-        adj2 = _bias_adj(cfg.beta2, self.steps)
+        adj1 = _bias_adj(self.beta1, self.steps)
+        adj2 = _bias_adj(self.beta2, self.steps)
         for name, kind, p in self.params:
             g = grads[name]
             if kind == "weight" and cfg.weight_decay > 0.0:
@@ -151,8 +142,8 @@ class QhAdam:
             m += (1.0 - adj1) * g
             v *= adj2
             v += (1.0 - adj2) * (g * g)
-            num = cfg.nu1 * m + (1.0 - cfg.nu1) * g
-            den = np.sqrt(cfg.nu2 * v + (1.0 - cfg.nu2) * (g * g)) + cfg.eps
+            num = self.nu1 * m + (1.0 - self.nu1) * g
+            den = np.sqrt(self.nu2 * v + (1.0 - self.nu2) * (g * g)) + self.eps
             p -= lr * num / den
 
 

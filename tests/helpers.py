@@ -5,6 +5,31 @@ import numpy as np
 from danet import DANet, DANetConfig, entmax15
 
 
+def finite_diff_grad(f, x, h=1e-5):
+    """Central-difference gradient of a scalar function, one coordinate at a time.
+
+    Accepts any array shape; the returned gradient has the same shape. Used
+    as the independent check against the analytic backward passes.
+    """
+    x = np.array(x, dtype=np.float64)  # private copy; perturbed in place below
+    if h <= 0:
+        raise ValueError(f"finite_diff_grad: h must be positive, got {h}")
+    g = np.empty_like(x)
+    flat = x.reshape(-1)
+    out = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x))
+        flat[i] = orig - h
+        fm = float(f(x))
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"finite_diff_grad: non-finite value at coordinate {i}")
+        out[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
 def entmax_bisect(z, iters=200):
     """Independent 1.5-entmax oracle: bisect the threshold tau so that
     sum(max(z/2 - tau, 0)^2) == 1. No sorting, no closed form."""
@@ -127,8 +152,6 @@ def make_small_danet(rng, depth=2):
 def grad_check_model(model, x, h=1e-5, rel_tol=1e-4, abs_floor=1e-8):
     """Compare the manual backward of loss = sum(forward(x)) against central
     finite differences over every parameter. Returns the worst error pair."""
-    from danet import finite_diff_grad
-
     theta0, named = flatten_params(model)
 
     def loss_at(theta):

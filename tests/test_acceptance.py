@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from danet import (DANet, DANetConfig, PreprocessState, TrainConfig,
-                   compress_model, count_flops, count_flops_folded, entmax15,
+                   compress_model, count_flops, entmax15,
                    entmax15_backward, evaluate, fit, load_csv, read_schema,
                    stratified_split, synth_generate)
 from danet.cli import main
+from danet.reparam import compressed_like
 
 from helpers import (entmax_margin, grad_check_model, make_small_danet,
                      model_is_stable)
@@ -300,11 +301,11 @@ def test_gate_7_folding_reduces_counted_flops():
     for depth, k0, d0, d1, m in shapes:
         model = DANet(m, DANetConfig(depth=depth, k0=k0, d0=d0, d1=d1),
                       seed=0)
-        if count_flops_folded(model).total >= count_flops(model).total:
+        if count_flops(compressed_like(model)).total >= count_flops(model).total:
             not_cheaper.append((depth, k0, d0, d1, m))
     probe = DANet(32, DANetConfig(depth=2, k0=1, d0=32, d1=32), seed=0)
     live = count_flops(probe).as_dict()["block0.main1"]
-    folded = count_flops_folded(probe).as_dict()["block0.main1"]
+    folded = count_flops(compressed_like(probe)).as_dict()["block0.main1"]
     cut = 100.0 * (1.0 - folded / live)
     _verdict(7, "folding reduces counted flops", not not_cheaper,
              f"{len(shapes)} shapes all cheaper; per-layer cut at 32x32: "

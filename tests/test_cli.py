@@ -2,7 +2,9 @@
 compress cycle, reports, and exit codes."""
 
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,14 +57,30 @@ def test_defaults_are_the_config_dataclass_defaults():
     assert sorted(cfg) == sorted([
         "data", "schema", "out", "valid_frac", "task", "seed", "depth", "k0", "d0",
         "d1", "dropout", "head_hidden", "ghost_size", "batch_size", "lr0",
-        "decay_factor", "decay_every", "weight_decay", "nu1", "nu2", "beta1",
-        "beta2", "eps", "max_epochs", "patience"])
+        "decay_factor", "decay_every", "weight_decay", "max_epochs", "patience"])
     for defaults in (TrainConfig(), DANetConfig()):
         for f in fields(defaults):
             if f.name != "num_classes":
                 assert cfg[f.name] == getattr(defaults, f.name), f.name
     assert cfg["valid_frac"] == 0.2
     assert cfg["data"] is cfg["schema"] is cfg["out"] is None
+
+
+def test_readme_key_table_lists_the_resolved_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| keys | defaults |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for span in re.findall(r"`([^`]*)`", re.sub(r"\([^)]*\)", "", table)):  # no asides
+        for item in span.split(", "):
+            key, _, value = item.partition(" ")
+            listed[key] = value or None
+    cfg = vars(resolve_config(build_parser().parse_args(["train"])))
+    assert sorted(listed) == sorted(cfg)
+    for key, value in listed.items():
+        default = cfg[key]
+        if default is not None and not isinstance(default, str):
+            value = type(default)(value)
+        assert value == default, key
 
 
 def test_synth_writes_csv_and_schema(tmp_path, capsys):
@@ -272,15 +290,22 @@ def test_train_rejects_a_validation_split_that_rounds_to_zero(tmp_path, capsys):
     assert code == 1 and err.startswith("error:") and "empty validation set" in err
     assert not (tmp_path / "run" / "model.danet").exists()
 
-    # one class only: there is nothing to classify
+    # the labels must be exactly 0..C-1 with C >= 2: one class, even when it
+    # is not 0, has nothing to classify, and a gap must fail before a head
+    # of max + 1 logits is built ((100000001, 8) here: 6 GB)
     lines = data.read_text().splitlines()
-    one_class = tmp_path / "one.csv"
-    rows = [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]
-    one_class.write_text("\n".join([lines[0]] + rows) + "\n")
-    code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(one_class),
-                       "--schema", str(schema), "--out", str(tmp_path / "run"))
-    assert code == 1 and err.startswith("error:") and "need at least 2 classes" in err
-    assert not (tmp_path / "run" / "model.danet").exists()
+    relabelled = tmp_path / "relabelled.csv"
+    for label_of_row, msg in ((lambda i: 0, "need at least 2 classes, found 1"),
+                              (lambda i: 1, "need at least 2 classes, found 1"),
+                              (lambda i: 100_000_000 if i < 2 else i % 2,
+                               "0..C-1 without gaps, found 3 distinct labels, the largest 100000000")):
+        rows = [line.rsplit(",", 1)[0] + f",{label_of_row(i)}" for i, line in enumerate(lines[1:])]
+        relabelled.write_text("\n".join([lines[0]] + rows) + "\n")
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(relabelled),
+                           "--schema", str(schema), "--out", str(tmp_path / "run"))
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert msg in err
+        assert not (tmp_path / "run" / "model.danet").exists()
 
 
 def test_missing_files_exit_cleanly(tmp_path, capsys):
@@ -314,3 +339,16 @@ def test_an_overlong_csv_field_fails_train_and_eval_cleanly(trained, tmp_path, c
         code, _, err = run(capsys, *argv, "--data", str(long_csv))
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1
         assert "line 3" in err and "field larger than field limit" in err
+
+
+@pytest.mark.parametrize("bad", ["schema", "data", "config"])
+def test_a_file_that_is_not_utf8_is_named_in_the_error(bad, trained, tmp_path, capsys):
+    _, cfg, _, data, schema = trained
+    paths = {"schema": schema, "data": data, "config": cfg}
+    paths[bad] = tmp_path / f"latin.{bad}"
+    paths[bad].write_bytes(b"\xff" + b"depth = 2\n")
+    code, _, err = run(capsys, "train", "--config", str(paths["config"]),
+                       "--data", str(paths["data"]), "--schema", str(paths["schema"]),
+                       "--out", str(tmp_path / "run"))
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert str(paths[bad]) in err and "not UTF-8" in err

@@ -4,8 +4,8 @@ against finite differences, and the simplex/sparsity/equivariance properties."""
 import numpy as np
 import pytest
 
-from danet import Rng, ShapeError, entmax15, entmax15_backward, finite_diff_grad
-from helpers import entmax_bisect, entmax_margin
+from danet import Rng, ShapeError, entmax15, entmax15_backward
+from helpers import entmax_bisect, entmax_margin, finite_diff_grad
 
 
 def test_two_way_split_frozen_values():

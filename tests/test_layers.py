@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from danet import (AbstractLayer, AbstractUnit, GhostBatchNorm, Rng, ShapeError,
-                   entmax15, finite_diff_grad, sigmoid)
-from helpers import entmax_margin, gated_value
+                   entmax15, sigmoid)
+from helpers import entmax_margin, finite_diff_grad, gated_value
 
 
 def bn_train_oracle(x, gamma, beta, ghost, eps):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from danet import (ContainerError, DANet, DANetConfig, Dataset, PreprocessState, Rng,
-                   ShapeError, count_flops, count_flops_folded, finite_diff_grad,
-                   load_model, save_model)
+                   ShapeError, count_flops, load_model, save_model)
 from danet.network import BasicBlock, MlpHead
-from helpers import grad_check_model, make_small_danet, model_is_stable
+from danet.reparam import compressed_like
+from helpers import finite_diff_grad, grad_check_model, make_small_danet, model_is_stable
 
 
 def test_config_validation():
@@ -219,7 +219,7 @@ def test_folded_flops_are_cheaper_everywhere():
                                  (8, 5, 32, 64, 20), (6, 8, 48, 96, 100)):
         model = DANet(m, DANetConfig(depth=depth, k0=k0, d0=d0, d1=d1), seed=19)
         orig = count_flops(model)
-        folded = count_flops_folded(model)
+        folded = count_flops(compressed_like(model))
         assert folded.total < orig.total
         fl = folded.as_dict()
         for name, n in orig.lines:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from danet import Rng, finite_diff_grad
+from danet import Rng
+from helpers import finite_diff_grad
 
 
 def test_rng_same_seed_same_stream():

@@ -7,10 +7,11 @@ import pytest
 
 from danet import (AbstractLayer, BasicBlock, CompressedUnit, ContainerError, DANet,
                    DANetConfig, GhostBatchNorm, Rng, ShapeError, compress_model,
-                   compress_unit, count_flops, count_flops_folded, fold_bn, load_model,
+                   compress_unit, count_flops, fold_bn, load_model,
                    save_model)
 from danet import network
 from danet.layers import AbstractUnit
+from danet.reparam import compressed_like
 
 
 def test_fold_bn_identity_when_stats_cancel():
@@ -307,4 +308,4 @@ def test_folded_flop_count_is_the_compressed_model_count():
         model = DANet(n_features, cfg, ghost_size=8, seed=13 * 1_000_003 + depth)
         for _ in range(2):
             model.forward(rng.standard_normal((16, n_features)), train=True, rng=rng)
-        assert count_flops(compress_model(model)).lines == count_flops_folded(model).lines
+        assert count_flops(compress_model(model)).lines == count_flops(compressed_like(model)).lines

@@ -9,23 +9,22 @@ import pytest
 
 from danet import (DANet, DANetConfig, Dataset, FitResult, QhAdam, Rng,
                    TrainConfig, TrainingError, batch_gradients, cross_entropy, evaluate,
-                   finite_diff_grad, fit, history_to_csv, lr_at, mse, stratified_split)
+                   fit, history_to_csv, lr_at, mse, stratified_split)
 from danet.training import _bias_adj
-from helpers import make_small_danet
+from helpers import finite_diff_grad, make_small_danet
 
 
 def test_train_config_validation():
     for bad in (dict(batch_size=0), dict(ghost_size=0),
                 dict(batch_size=4, ghost_size=8), dict(lr0=0.0),
                 dict(decay_factor=0.0), dict(decay_factor=1.5),
-                dict(decay_every=0), dict(nu1=-0.1), dict(beta2=1.2),
-                dict(weight_decay=-1e-5), dict(eps=0.0),
+                dict(decay_every=0), dict(weight_decay=-1e-5),
                 dict(max_epochs=0), dict(patience=0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
-    # a non-finite rate, decay or epsilon fails here, naming its key, not
-    # steps later in entmax (or, for a nan decay, never)
-    for key in ("lr0", "weight_decay", "eps"):
+    # a non-finite rate or decay fails here, naming its key, not steps
+    # later in entmax (or, for a nan decay, never)
+    for key in ("lr0", "weight_decay"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=key):
                 TrainConfig(**{key: value})
@@ -87,8 +86,6 @@ def test_mse_values_and_gradient():
 
 
 def test_bias_adjustment_weights():
-    assert _bias_adj(1.0, 1) == 0.0
-    assert _bias_adj(1.0, 4) == 0.75
     assert _bias_adj(0.0, 5) == 0.0
     assert _bias_adj(0.9, 1) == 0.0  # first step is all gradient
     # closed form: 1 - (1-b)/(1-b^t)
@@ -104,8 +101,10 @@ class _Param:
 
 
 def test_qhadam_two_steps_match_hand_unrolled_oracle():
-    cfg = TrainConfig(lr0=0.1, weight_decay=0.0, nu1=0.8, nu2=1.0,
-                      beta1=0.995, beta2=0.999, eps=1e-8)
+    # the recipe's constants, which the oracle below spells out
+    assert (QhAdam.nu1, QhAdam.nu2, QhAdam.beta1, QhAdam.beta2, QhAdam.eps) == (
+        0.8, 1.0, 0.995, 0.999, 1e-8)
+    cfg = TrainConfig(lr0=0.1, weight_decay=0.0)
     p = _Param([[1.0, -2.0]], ["weight"])
     opt = QhAdam(p.triples, cfg)
     g1 = np.array([0.5, -1.5])
@@ -128,9 +127,10 @@ def test_qhadam_two_steps_match_hand_unrolled_oracle():
     assert np.max(np.abs(p.arrays[0] - x)) <= 1e-12
 
 
-def test_qhadam_with_unit_discounts_is_adam():
-    cfg = TrainConfig(lr0=0.01, weight_decay=0.0, nu1=1.0, nu2=1.0,
-                      beta1=0.9, beta2=0.99, eps=1e-8)
+def test_qhadam_with_unit_discounts_is_adam(monkeypatch):
+    for name, value in dict(nu1=1.0, nu2=1.0, beta1=0.9, beta2=0.99).items():
+        monkeypatch.setattr(QhAdam, name, value)
+    cfg = TrainConfig(lr0=0.01, weight_decay=0.0)
     p = _Param([[0.3, 0.7, -1.1]], ["mask"])
     opt = QhAdam(p.triples, cfg)
     rng = Rng(1)
@@ -150,9 +150,10 @@ def test_qhadam_with_unit_discounts_is_adam():
     assert np.max(np.abs(p.arrays[0] - x)) <= 1e-12
 
 
-def test_qhadam_first_step_without_momentum_is_signed():
-    cfg = TrainConfig(lr0=0.05, weight_decay=0.0, nu1=0.7, nu2=0.5,
-                      beta1=0.0, beta2=0.0, eps=1e-8)
+def test_qhadam_first_step_without_momentum_is_signed(monkeypatch):
+    for name, value in dict(nu1=0.7, nu2=0.5, beta1=0.0, beta2=0.0).items():
+        monkeypatch.setattr(QhAdam, name, value)
+    cfg = TrainConfig(lr0=0.05, weight_decay=0.0)
     p = _Param([[2.0, -3.0]], ["weight"])
     opt = QhAdam(p.triples, cfg)
     g = np.array([4.0, -0.5])
