@@ -147,7 +147,7 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
     ``float``; only when a row is ragged or a cell is not a finite float does
     a second, cell-by-cell pass run, to name the first bad row and column.
     Row numbers in error messages are 1-based data rows (the header is row 0).
-    Classification targets must be non-negative integers.
+    Classification targets must be non-negative integers, at most 2**53.
     """
     if task not in ("class", "rank"):
         raise DataError(f"load_csv: task must be 'class' or 'rank', got {task!r}")
@@ -193,12 +193,14 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
                if kinds[j] == "categorical"}
 
     if task == "class":
-        if np.any(targets_f < 0) or np.any(targets_f != np.round(targets_f)):
-            bad = int(np.argmax((targets_f < 0) | (targets_f != np.round(targets_f)))) + 1
-            raise DataError(
-                f"row {bad}: classification target must be a non-negative integer, "
-                f"got {float(targets_f[bad - 1])!r}"
-            )
+        not_int = (targets_f < 0) | (targets_f != np.round(targets_f))
+        # past 2**53 floats skip integers, and past 2**63 the cast below wraps
+        too_big = targets_f > 2.0 ** 53
+        if np.any(not_int) or np.any(too_big):
+            bad = int(np.argmax(not_int | too_big)) + 1
+            rule = "at most 2**53" if too_big[bad - 1] else "a non-negative integer"
+            raise DataError(f"row {bad}: classification target must be {rule}, "
+                            f"got {float(targets_f[bad - 1])!r}")
         targets = targets_f.astype(np.int64)
     else:
         targets = targets_f

@@ -96,21 +96,35 @@ class Module:
         return grads
 
     @contextmanager
-    def one_stat_update(self):
-        """Training forwards inside the ``with`` statement add each batch
-        norm's ghost means and variances up; a normal exit then updates every
-        running statistic once from those sums, as one training forward over
-        all the rows would have done."""
-        bns = [bn for _, bn in self.named_bns()]
+    def fixed_params(self):
+        """For a ``with`` statement over which the parameters stay fixed, as
+        in one optimizer step or one scoring call.
+
+        Each unit computes its mask and masked weights once, on entry, and
+        every forward and backward inside reuses them. Training forwards add
+        each batch norm's ghost means and variances up; a normal exit then
+        moves the running statistics of each batch norm that ran in training
+        mode once, from those sums, as one training forward over all the
+        rows would have done. The cached masks and the sums are dropped on
+        any exit.
+        """
+        modules = [m for _, m in self.walk()]
+        bns = [m for m in modules if isinstance(m, GhostBatchNorm)]
+        units = [m for m in modules if isinstance(m, AbstractUnit)]
         for bn in bns:
             bn.pending = [np.zeros(bn.dim), np.zeros(bn.dim), 0]
         try:
+            for unit in units:
+                unit.mask_cache = unit.masked()
             yield
             for bn in bns:
-                bn.update_running(*bn.pending)
+                if bn.pending[2]:
+                    bn.update_running(*bn.pending)
         finally:
             for bn in bns:
                 bn.pending = None
+            for unit in units:
+                unit.mask_cache = None
 
 
 @dataclass
@@ -127,12 +141,12 @@ class GhostBatchNorm(Module):
     smaller) is normalized with its own mean and biased variance. Running
     statistics are an exponential moving average of the per-ghost statistics
     averaged over ghosts, one step per training forward (or per
-    ``Module.one_stat_update`` statement), and are the ones used in eval mode.
+    ``Module.fixed_params`` statement), and are the ones used in eval mode.
     """
 
     momentum = 0.01  # weight of the newest ghost-averaged statistics
     eps = 1e-5  # added to the variance before the square root
-    pending = None  # [mean sum, var sum, ghosts] inside Module.one_stat_update
+    pending = None  # [mean sum, var sum, ghosts] inside Module.fixed_params
 
     def __init__(self, dim: int, ghost_size: int = 256):
         if dim < 1:
@@ -164,13 +178,16 @@ class GhostBatchNorm(Module):
         deferred = self.pending is not None
         sums = self.pending if deferred else [np.zeros(self.dim), np.zeros(self.dim), 0]
         for s, e in bounds:
-            chunk = x[s:e]
-            mu = chunk.mean(axis=0)
-            var = chunk.var(axis=0)  # biased, matching the normalization
+            # mean and biased variance as numpy's mean and var compute them,
+            # centring once: xc is x - mu, scaled in place into xhat
+            n = e - s
+            mu = x[s:e].sum(axis=0) / n
+            xc = np.subtract(x[s:e], mu, out=xhat[s:e])
+            var = (xc * xc).sum(axis=0) / n
             inv = 1.0 / np.sqrt(var + self.eps)
-            xh = (chunk - mu) * inv
-            xhat[s:e] = xh
-            y[s:e] = self.gamma * xh + self.beta
+            xc *= inv
+            np.multiply(self.gamma, xc, out=y[s:e])
+            y[s:e] += self.beta
             inv_stds.append(inv)
             sums[0] += mu
             sums[1] += var
@@ -196,7 +213,11 @@ class GhostBatchNorm(Module):
             n = e - s
             dxh = dy[s:e] * self.gamma
             xh = ctx.xhat[s:e]
-            dx[s:e] = (inv / n) * (n * dxh - dxh.sum(axis=0) - xh * (dxh * xh).sum(axis=0))
+            # (inv / n) * (n * dxh - dxh.sum - xh * (dxh * xh).sum), in place
+            d = np.multiply(n, dxh, out=dx[s:e])
+            d -= dxh.sum(axis=0)
+            d -= xh * (dxh * xh).sum(axis=0)
+            d *= inv / n
         return dx, dgamma, dbeta
 
     def leaves(self):
@@ -209,6 +230,8 @@ class GhostBatchNorm(Module):
 class UnitCtx:
     f: np.ndarray
     mask: EntmaxResult
+    w1p: np.ndarray  # w1 * mask.probs
+    w2p: np.ndarray  # w2 * mask.probs
     bn1_ctx: BatchNormCtx
     bn2_ctx: BatchNormCtx
     q: np.ndarray
@@ -224,6 +247,7 @@ class AbstractUnit(Module):
     """
 
     CHILDREN = ("bn1", "bn2")
+    mask_cache = None  # masked() of the enclosing Module.fixed_params statement
 
     def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: np.random.Generator):
         if in_dim < 1 or out_dim < 1:
@@ -237,21 +261,31 @@ class AbstractUnit(Module):
         self.bn1 = GhostBatchNorm(out_dim, ghost_size)
         self.bn2 = GhostBatchNorm(out_dim, ghost_size)
 
+    def masked(self):
+        """(mask, w1 * p, w2 * p) with mask = entmax15(mask_logits) and p its
+        probabilities: the cached triple inside ``Module.fixed_params``, else
+        computed from the current logits and weights."""
+        if self.mask_cache is not None:
+            return self.mask_cache
+        mask = entmax15(self.mask_logits)
+        return mask, self.w1 * mask.probs, self.w2 * mask.probs
+
     def forward(self, f: np.ndarray, train: bool):
         """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), p the
         learned sparse mask shared by every row; ReLU on the product. The
-        context keeps f, the mask, both batch norms' contexts and q; the
-        backward recomputes h2 from bn2's xhat."""
+        context keeps f, the mask and masked weights, both batch norms'
+        contexts and q; the backward recomputes h2 from bn2's xhat."""
         if f.ndim != 2 or f.shape[1] != self.in_dim:
             raise ShapeError(f"AbstractUnit: expected (rows, {self.in_dim}), got {f.shape}")
-        mask = entmax15(self.mask_logits)
-        h1, bn1_ctx = self.bn1.forward(f @ (self.w1 * mask.probs).T, train)
+        mask, w1p, w2p = self.masked()
+        h1, bn1_ctx = self.bn1.forward(f @ w1p.T, train)
         q = sigmoid(h1)
-        h2, bn2_ctx = self.bn2.forward(f @ (self.w2 * mask.probs).T, train)
+        h2, bn2_ctx = self.bn2.forward(f @ w2p.T, train)
         out = relu(q * h2)
         if not train:
             return out, None
-        return out, UnitCtx(f=f, mask=mask, bn1_ctx=bn1_ctx, bn2_ctx=bn2_ctx, q=q)
+        return out, UnitCtx(f=f, mask=mask, w1p=w1p, w2p=w2p, bn1_ctx=bn1_ctx,
+                            bn2_ctx=bn2_ctx, q=q)
 
     def backward(self, ctx: UnitCtx, dout: np.ndarray):
         """Returns (df, grads) with grads keyed like ``named_params``."""
@@ -265,7 +299,7 @@ class AbstractUnit(Module):
         da2, dg2, db2 = self.bn2.backward(ctx.bn2_ctx, dh2)
         g1 = da1.T @ ctx.f
         g2 = da2.T @ ctx.f
-        df = da1 @ (self.w1 * p) + da2 @ (self.w2 * p)
+        df = da1 @ ctx.w1p + da2 @ ctx.w2p
         dmask = (g1 * self.w1 + g2 * self.w2).sum(axis=0)
         dlogits = entmax15_backward(ctx.mask, dmask)
         return df, self.named_grads({"mask": dlogits, "w1": g1 * p, "w2": g2 * p},

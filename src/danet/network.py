@@ -11,6 +11,7 @@ logits or a regression score.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,10 +297,15 @@ class DANet(Module):
     def predict(self, x) -> np.ndarray:
         """Class labels (argmax of the logits, ties to the lowest index) or
         the regression scores as a flat vector, scored in blocks of
-        ``PREDICT_BLOCK`` rows (one call for an empty input)."""
+        ``PREDICT_BLOCK`` rows (one call for an empty input). A live model
+        masks its weights once for all the blocks."""
         x = self._check_input(x)
         starts = range(0, max(x.shape[0], 1), PREDICT_BLOCK)
-        out = np.concatenate([self.scores(x[s:s + PREDICT_BLOCK]) for s in starts])
+        # one block masks once by itself and skips the context's tree walk,
+        # which made a live 1-row call ~15% slower; a folded model has no masks
+        cache = len(starts) > 1 and not self.compressed
+        with self.fixed_params() if cache else nullcontext():
+            out = np.concatenate([self.scores(x[s:s + PREDICT_BLOCK]) for s in starts])
         if self.config.task == "class":
             return np.argmax(out, axis=1)
         return out[:, 0]

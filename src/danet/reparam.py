@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entmax import entmax15
 from .layers import AbstractUnit, GhostBatchNorm, Module, sigmoid
 from .network import DANet
 from .numerics import ShapeError
@@ -86,9 +85,9 @@ def compress_unit(unit: AbstractUnit) -> CompressedUnit:
                 f"compress_unit: {label} running statistics are unpopulated; "
                 "train at least one step or load trained statistics first"
             )
-    mask = entmax15(unit.mask_logits).probs  # exact zeros give exactly-zero columns
-    w1s, b1s = fold_bn(unit.w1 * mask, unit.bn1)
-    w2s, b2s = fold_bn(unit.w2 * mask, unit.bn2)
+    _, w1p, w2p = unit.masked()  # exact mask zeros give exactly-zero columns
+    w1s, b1s = fold_bn(w1p, unit.bn1)
+    w2s, b2s = fold_bn(w2p, unit.bn2)
     return CompressedUnit(w1s=w1s, b1s=b1s, w2s=w2s, b2s=b2s)
 
 

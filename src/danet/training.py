@@ -168,16 +168,17 @@ def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Ge
     ``rng`` first (in block order, as a whole-batch training forward draws
     them), then each ghost, the short tail one included, runs forward, loss
     scaled by its share of the rows, and backward, and its gradients are
-    added up before the next ghost's forward. Each batch norm updates its
-    running statistics once, from the ghost statistics summed in ghost
-    order. The result equals a whole-batch ``forward(train=True)`` and
-    ``backward`` up to the order of the gradient sums, while only one
-    ghost's activations are alive at a time.
+    added up before the next ghost's forward. Inside ``Module.fixed_params``
+    each unit computes its mask and masked weights once for the step, and
+    each batch norm updates its running statistics once, from the ghost
+    statistics summed in ghost order. The result equals a whole-batch
+    ``forward(train=True)`` and ``backward`` up to the order of the gradient
+    sums, while only one ghost's activations are alive at a time.
     """
     rows, ghost = x.shape[0], model.ghost_size
     uniforms = model.dropout_uniforms(rng, rows)
     loss, grads = 0.0, None
-    with model.one_stat_update():
+    with model.fixed_params():
         for s in range(0, rows, ghost):
             rs = slice(s, s + ghost)
             gl, gg = _ghost_step(model, x[rs], targets[rs],

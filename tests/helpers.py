@@ -1,8 +1,14 @@
 """Shared test utilities: independent oracles and gradient-check plumbing."""
 
+from contextlib import contextmanager
+from dataclasses import dataclass
+
 import numpy as np
 
-from danet import DANet, DANetConfig, entmax15
+from danet import DANet, DANetConfig, entmax15, network
+from danet.entmax import EntmaxResult, entmax15_backward
+from danet.layers import (AbstractUnit, BatchNormCtx, GhostBatchNorm, Module, relu,
+                          sigmoid)
 
 
 def finite_diff_grad(f, x, h=1e-5):
@@ -168,3 +174,121 @@ def grad_check_model(model, x, h=1e-5, rel_tol=1e-4, abs_floor=1e-8):
     bound = rel_tol * np.maximum(np.abs(manual), np.abs(fd)) + abs_floor
     worst = int(np.argmax(err - bound))
     return bool(np.all(err <= bound)), named, worst, float(err[worst]), float(bound[worst])
+
+
+# -- the straight-line training step: the reference the fast paths must equal
+# bit for bit. Each batch norm takes numpy's mean and var of every ghost and
+# computes its backward as one expression; each unit masks its weights on
+# every forward and again in its backward; the per-step context pools the
+# batch-norm statistics only, and scoring enters no context.
+
+def ref_bn_forward(bn, x, train):
+    if not train:
+        inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        return (x - bn.running_mean) * (bn.gamma * inv) + bn.beta, None
+    rows = x.shape[0]
+    bounds = [(s, min(s + bn.ghost_size, rows)) for s in range(0, rows, bn.ghost_size)]
+    y = np.empty_like(x)
+    xhat = np.empty_like(x)
+    inv_stds = []
+    deferred = bn.pending is not None
+    sums = bn.pending if deferred else [np.zeros(bn.dim), np.zeros(bn.dim), 0]
+    for s, e in bounds:
+        chunk = x[s:e]
+        mu = chunk.mean(axis=0)
+        var = chunk.var(axis=0)
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xh = (chunk - mu) * inv
+        xhat[s:e] = xh
+        y[s:e] = bn.gamma * xh + bn.beta
+        inv_stds.append(inv)
+        sums[0] += mu
+        sums[1] += var
+    sums[2] += len(bounds)
+    if not deferred:
+        bn.update_running(*sums)
+    return y, BatchNormCtx(bounds=bounds, xhat=xhat, inv_std=inv_stds)
+
+
+def ref_bn_backward(bn, ctx, dy):
+    dgamma = (dy * ctx.xhat).sum(axis=0)
+    dbeta = dy.sum(axis=0)
+    dx = np.empty_like(dy)
+    for (s, e), inv in zip(ctx.bounds, ctx.inv_std):
+        n = e - s
+        dxh = dy[s:e] * bn.gamma
+        xh = ctx.xhat[s:e]
+        dx[s:e] = (inv / n) * (n * dxh - dxh.sum(axis=0) - xh * (dxh * xh).sum(axis=0))
+    return dx, dgamma, dbeta
+
+
+@dataclass
+class RefUnitCtx:
+    f: np.ndarray
+    mask: EntmaxResult
+    bn1_ctx: BatchNormCtx
+    bn2_ctx: BatchNormCtx
+    q: np.ndarray
+
+
+def ref_unit_forward(unit, f, train):
+    mask = entmax15(unit.mask_logits)
+    h1, bn1_ctx = unit.bn1.forward(f @ (unit.w1 * mask.probs).T, train)
+    q = sigmoid(h1)
+    h2, bn2_ctx = unit.bn2.forward(f @ (unit.w2 * mask.probs).T, train)
+    out = relu(q * h2)
+    if not train:
+        return out, None
+    return out, RefUnitCtx(f=f, mask=mask, bn1_ctx=bn1_ctx, bn2_ctx=bn2_ctx, q=q)
+
+
+def ref_unit_backward(unit, ctx, dout):
+    p, q = ctx.mask.probs, ctx.q
+    h2 = unit.bn2.gamma * ctx.bn2_ctx.xhat + unit.bn2.beta
+    dgated = dout * (q * h2 > 0.0)
+    dq = dgated * h2
+    dh2 = dgated * q
+    dh1 = dq * q * (1.0 - q)
+    da1, dg1, db1 = unit.bn1.backward(ctx.bn1_ctx, dh1)
+    da2, dg2, db2 = unit.bn2.backward(ctx.bn2_ctx, dh2)
+    g1 = da1.T @ ctx.f
+    g2 = da2.T @ ctx.f
+    df = da1 @ (unit.w1 * p) + da2 @ (unit.w2 * p)
+    dmask = (g1 * unit.w1 + g2 * unit.w2).sum(axis=0)
+    dlogits = entmax15_backward(ctx.mask, dmask)
+    return df, unit.named_grads({"mask": dlogits, "w1": g1 * p, "w2": g2 * p},
+                                {"gamma": dg1, "beta": db1}, {"gamma": dg2, "beta": db2})
+
+
+@contextmanager
+def ref_fixed_params(model):
+    bns = [bn for _, bn in model.named_bns()]
+    for bn in bns:
+        bn.pending = [np.zeros(bn.dim), np.zeros(bn.dim), 0]
+    try:
+        yield
+        for bn in bns:
+            bn.update_running(*bn.pending)
+    finally:
+        for bn in bns:
+            bn.pending = None
+
+
+def ref_predict(model, x):
+    x = model._check_input(x)
+    block = network.PREDICT_BLOCK
+    starts = range(0, max(x.shape[0], 1), block)
+    out = np.concatenate([model.scores(x[s:s + block]) for s in starts])
+    if model.config.task == "class":
+        return np.argmax(out, axis=1)
+    return out[:, 0]
+
+
+def use_reference_step(monkeypatch):
+    """Swap the straight-line reference in for the fast training step."""
+    monkeypatch.setattr(GhostBatchNorm, "forward", ref_bn_forward)
+    monkeypatch.setattr(GhostBatchNorm, "backward", ref_bn_backward)
+    monkeypatch.setattr(AbstractUnit, "forward", ref_unit_forward)
+    monkeypatch.setattr(AbstractUnit, "backward", ref_unit_backward)
+    monkeypatch.setattr(Module, "fixed_params", ref_fixed_params)
+    monkeypatch.setattr(DANet, "predict", ref_predict)

@@ -118,6 +118,11 @@ LOAD_CSV_ERRORS = [
      "row 2: classification target must be a non-negative integer, got -1.0"),
     (["1.0", "x", "2.0", "0.5"], "class",
      "row 2: classification target must be a non-negative integer, got 0.5"),
+    # an integral float the int64 cast would wrap to -2**63
+    (["1.0", "x", "2.0", "1e20"], "class",
+     "row 2: classification target must be at most 2**53, got 1e+20"),
+    (["1.0", "x", "2.0", "9007199254740994"], "class",
+     "row 2: classification target must be at most 2**53, got 9007199254740994.0"),
 ]
 
 
@@ -138,6 +143,12 @@ def test_load_csv_errors_name_the_first_bad_cell(tmp_path, bad, task, message):
         with pytest.raises(DataError) as err:
             load_csv(write_rows(tmp_path / "bad.csv", variant), schema, task=task)
         assert str(err.value) == message
+
+
+def test_load_csv_keeps_a_class_target_of_two_to_the_53(tmp_path):
+    schema = {"a": "continuous", "y": "target"}
+    ds = load_csv(write(tmp_path / "big.csv", "a,y\n1.0,9007199254740992\n2.0,0\n"), schema)
+    assert ds.targets.dtype == np.int64 and ds.targets.tolist() == [2 ** 53, 0]
 
 
 def test_load_csv_rejects_an_overlong_field(tmp_path):

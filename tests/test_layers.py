@@ -1,12 +1,15 @@
 """Ghost batch norm and abstraction units/layers: forward against straight-line
 oracles, backward against finite differences, and the context discipline."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from danet import (AbstractLayer, AbstractUnit, GhostBatchNorm, Rng, ShapeError,
                    entmax15, sigmoid)
-from helpers import entmax_margin, finite_diff_grad, gated_value
+from helpers import (entmax_margin, finite_diff_grad, gated_value, ref_bn_backward,
+                     ref_bn_forward)
 
 
 def bn_train_oracle(x, gamma, beta, ghost, eps):
@@ -45,6 +48,28 @@ def test_bn_ghost_chunking_and_running_stats():
     assert np.max(np.abs(y - expect)) <= 1e-12
     assert np.max(np.abs(bn.running_mean - 0.01 * mean_of_means)) <= 1e-12
     assert np.max(np.abs(bn.running_var - (0.99 * 1.0 + 0.01 * mean_of_vars))) <= 1e-12
+
+
+@pytest.mark.parametrize("ghost", [64, 8])  # one ghost; ghosts of 8 and a tail of 5
+def test_bn_train_forward_and_backward_are_bitwise_the_reference(ghost):
+    rng = Rng(2)
+    fast = GhostBatchNorm(6, ghost_size=ghost)
+    fast.gamma[:] = rng.uniform(0.5, 1.5, 6)
+    fast.beta[:] = rng.standard_normal(6)
+    slow = copy.deepcopy(fast)
+    x = 3.0 + 5.0 * rng.standard_normal((37, 6))
+    dy = rng.standard_normal((37, 6))
+    y, ctx = fast.forward(x, train=True)
+    ry, rctx = ref_bn_forward(slow, x, True)
+    assert y.tobytes() == ry.tobytes()
+    assert ctx.bounds == rctx.bounds
+    assert ctx.xhat.tobytes() == rctx.xhat.tobytes()
+    assert [v.tobytes() for v in ctx.inv_std] == [v.tobytes() for v in rctx.inv_std]
+    assert fast.running_mean.tobytes() == slow.running_mean.tobytes()
+    assert fast.running_var.tobytes() == slow.running_var.tobytes()
+    assert fast.updates == slow.updates == 1
+    got, expect = fast.backward(ctx, dy), ref_bn_backward(slow, rctx, dy)
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in expect]
 
 
 def test_bn_constant_column_trains_to_beta():

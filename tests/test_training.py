@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from danet import (DANet, DANetConfig, Dataset, FitResult, QhAdam, Rng,
-                   TrainConfig, TrainingError, batch_gradients, cross_entropy, evaluate,
-                   fit, history_to_csv, lr_at, mse, stratified_split)
+from danet import (AbstractUnit, DANet, DANetConfig, Dataset, FitResult, QhAdam, Rng,
+                   TrainConfig, TrainingError, batch_gradients, cross_entropy, entmax15,
+                   evaluate, fit, history_to_csv, layers, lr_at, mse, network,
+                   stratified_split)
 from danet.training import _bias_adj
-from helpers import finite_diff_grad, make_small_danet
+from helpers import finite_diff_grad, make_small_danet, randomize_params, use_reference_step
 
 
 def test_train_config_validation():
@@ -314,6 +315,125 @@ def test_ghost_by_ghost_step_matches_the_whole_batch_pass(task):
     assert ([bn.updates for _, bn in whole.named_bns()]
             == [bn.updates for _, bn in ghostly.named_bns()] == [1] * 24)
     assert all(bn.pending is None for _, bn in ghostly.named_bns())
+
+
+def _state_bytes(model):
+    return ([(n, a.tobytes()) for n, _, a in model.named_params()],
+            [(n, a.tobytes()) for n, a in model.named_buffers()],
+            [bn.updates for _, bn in model.named_bns()])
+
+
+def _units(model):
+    return [m for _, m in model.walk() if isinstance(m, AbstractUnit)]
+
+
+def _sparse_mask_case(task, seed):
+    # 37 rows at ghost 8 end in a short tail ghost of 5; scattered logits
+    # give sparse, uneven masks
+    cfg = DANetConfig(depth=4, k0=2, d0=5, d1=6, dropout=0.3, task=task, num_classes=3)
+    model = DANet(7, cfg, ghost_size=8, seed=seed)
+    rng = Rng(seed + 1)
+    randomize_params(model, rng, mask_scale=2.0)
+    assert any((entmax15(u.mask_logits).probs == 0.0).any() for u in _units(model))
+    x = rng.standard_normal((37, 7))
+    y = rng.integers(0, 3, 37) if task == "class" else rng.standard_normal(37)
+    return model, x, y
+
+
+def _two_steps(model, x, y):
+    # an optimizer step between the two moves the masks, so a mask kept
+    # from the first step would show in the second
+    opt = QhAdam(model.named_params(), TrainConfig(batch_size=37, ghost_size=8))
+    steps = []
+    for seed in (43, 44):
+        loss, grads = batch_gradients(model, x, y, Rng(seed))
+        steps.append((loss, list(grads), [g.tobytes() for g in grads.values()],
+                      _state_bytes(model)))
+        opt.step(grads, 0.05)
+    return steps
+
+
+@pytest.mark.parametrize("task", ["class", "rank"])
+def test_step_is_bitwise_the_straight_line_step(task, monkeypatch):
+    fast, x, y = _sparse_mask_case(task, 40)
+    slow = copy.deepcopy(fast)
+    got = _two_steps(fast, x, y)
+    use_reference_step(monkeypatch)
+    expect = _two_steps(slow, x, y)
+    for (loss, names, grads, state), (rloss, rnames, rgrads, rstate) in zip(got, expect):
+        assert loss == rloss
+        assert names == rnames
+        assert grads == rgrads
+        assert state == rstate
+
+
+def test_fit_is_bitwise_the_straight_line_fit(monkeypatch):
+    # batches of 12 at ghost 8: every step ends in a 4-row tail ghost
+    tcfg = TrainConfig(batch_size=12, ghost_size=8, max_epochs=4, patience=10, seed=3)
+    runs = []
+    for reference in (False, True):
+        if reference:
+            use_reference_step(monkeypatch)
+        model = _toy_model(4)
+        randomize_params(model, Rng(6), mask_scale=2.0)
+        train, valid = _toy_sets(Rng(5))
+        res = fit(model, train, valid, tcfg)
+        runs.append((res.history, _state_bytes(model)))
+    assert runs[0] == runs[1]
+
+
+def test_each_unit_masks_once_per_step_and_per_scoring_call(monkeypatch):
+    model, x, y = _sparse_mask_case("class", 45)
+    calls = []
+    monkeypatch.setattr(layers, "entmax15", lambda z: calls.append(z) or entmax15(z))
+    batch_gradients(model, x, y, Rng(46))  # five ghosts
+    assert len(calls) == len(_units(model))
+    calls.clear()
+    monkeypatch.setattr(network, "PREDICT_BLOCK", 4)
+    state = _state_bytes(model)
+    model.predict(x)  # ten blocks
+    assert len(calls) == len(_units(model))
+    assert _state_bytes(model) == state  # scoring moves no running statistic
+    calls.clear()
+    model.predict(x[:4])  # one block
+    assert len(calls) == len(_units(model))
+
+
+def test_the_mask_cache_does_not_outlive_its_step():
+    model, x, y = _sparse_mask_case("class", 47)
+    batch_gradients(model, x, y, Rng(48))
+    assert all(u.mask_cache is None for u in _units(model))
+    assert all(bn.pending is None for _, bn in model.named_bns())
+    # new logits reach the next call: feature 0 alone is kept
+    unit = model.blocks[0].main1.units[0]
+    before, _ = unit.forward(x, train=False)
+    scores = model.scores(x)
+    unit.mask_logits[:] = -10.0
+    unit.mask_logits[0] = 10.0
+    assert np.array_equal(unit.masked()[0].probs, np.eye(7)[0])
+    assert not np.array_equal(unit.forward(x, train=False)[0], before)
+    assert not np.array_equal(model.scores(x), scores)
+
+
+def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
+    model, x, y = _sparse_mask_case("class", 49)
+    state = _state_bytes(model)
+    forward, seen = DANet.forward, []
+
+    def fails_on_the_third_ghost(self, *args, **kwargs):
+        seen.append(len(seen) + 1)
+        if len(seen) == 3:
+            assert all(u.mask_cache is not None for u in _units(self))
+            raise RuntimeError("ghost 3 failed")
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(DANet, "forward", fails_on_the_third_ghost)
+    with pytest.raises(RuntimeError, match="ghost 3 failed"):
+        batch_gradients(model, x, y, Rng(50))
+    assert seen == [1, 2, 3]
+    assert all(u.mask_cache is None for u in _units(model))
+    assert all(bn.pending is None for _, bn in model.named_bns())
+    assert _state_bytes(model) == state  # no running statistic moved
 
 
 def _traced_peak_mb(fn):
