@@ -100,13 +100,13 @@ class Module:
         """For a ``with`` statement over which the parameters stay fixed, as
         in one optimizer step or one scoring call.
 
-        Each unit computes its mask and masked weights once, on entry, and
-        every forward and backward inside reuses them. Training forwards add
-        each batch norm's ghost means and variances up; a normal exit then
-        moves the running statistics of each batch norm that ran in training
-        mode once, from those sums, as one training forward over all the
-        rows would have done. The cached masks and the sums are dropped on
-        any exit.
+        Each unit computes its mask and masked weights once, in its first
+        forward inside, and every later forward and backward reuses them.
+        Training forwards add each batch norm's ghost means and variances up;
+        a normal exit then moves the running statistics of each batch norm
+        that ran in training mode once, from those sums, as one training
+        forward over all the rows would have done. The cached masks and the
+        sums are dropped on any exit.
         """
         modules = [m for _, m in self.walk()]
         bns = [m for m in modules if isinstance(m, GhostBatchNorm)]
@@ -115,7 +115,7 @@ class Module:
             bn.pending = [np.zeros(bn.dim), np.zeros(bn.dim), 0]
         try:
             for unit in units:
-                unit.mask_cache = unit.masked()
+                unit.mask_cache = ()  # filled by the unit's first masked()
             yield
             for bn in bns:
                 if bn.pending[2]:
@@ -247,7 +247,7 @@ class AbstractUnit(Module):
     """
 
     CHILDREN = ("bn1", "bn2")
-    mask_cache = None  # masked() of the enclosing Module.fixed_params statement
+    mask_cache = None  # inside Module.fixed_params: () until masked() fills it
 
     def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: np.random.Generator):
         if in_dim < 1 or out_dim < 1:
@@ -263,12 +263,16 @@ class AbstractUnit(Module):
 
     def masked(self):
         """(mask, w1 * p, w2 * p) with mask = entmax15(mask_logits) and p its
-        probabilities: the cached triple inside ``Module.fixed_params``, else
-        computed from the current logits and weights."""
-        if self.mask_cache is not None:
+        probabilities, computed from the current logits and weights; inside
+        ``Module.fixed_params`` the first call's triple is kept and returned
+        again."""
+        if self.mask_cache:
             return self.mask_cache
         mask = entmax15(self.mask_logits)
-        return mask, self.w1 * mask.probs, self.w2 * mask.probs
+        triple = mask, self.w1 * mask.probs, self.w2 * mask.probs
+        if self.mask_cache is not None:
+            self.mask_cache = triple
+        return triple
 
     def forward(self, f: np.ndarray, train: bool):
         """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), p the

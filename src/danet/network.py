@@ -301,10 +301,8 @@ class DANet(Module):
         masks its weights once for all the blocks."""
         x = self._check_input(x)
         starts = range(0, max(x.shape[0], 1), PREDICT_BLOCK)
-        # one block masks once by itself and skips the context's tree walk,
-        # which made a live 1-row call ~15% slower; a folded model has no masks
-        cache = len(starts) > 1 and not self.compressed
-        with self.fixed_params() if cache else nullcontext():
+        # a folded model has no masks to cache
+        with nullcontext() if self.compressed else self.fixed_params():
             out = np.concatenate([self.scores(x[s:s + PREDICT_BLOCK]) for s in starts])
         if self.config.task == "class":
             return np.argmax(out, axis=1)

@@ -386,6 +386,8 @@ def test_each_unit_masks_once_per_step_and_per_scoring_call(monkeypatch):
     model, x, y = _sparse_mask_case("class", 45)
     calls = []
     monkeypatch.setattr(layers, "entmax15", lambda z: calls.append(z) or entmax15(z))
+    with model.fixed_params():
+        assert not calls  # a unit masks in its first forward, not on entry
     batch_gradients(model, x, y, Rng(46))  # five ghosts
     assert len(calls) == len(_units(model))
     calls.clear()
@@ -423,7 +425,7 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
     def fails_on_the_third_ghost(self, *args, **kwargs):
         seen.append(len(seen) + 1)
         if len(seen) == 3:
-            assert all(u.mask_cache is not None for u in _units(self))
+            assert all(u.mask_cache for u in _units(self))  # filled by ghost 1
             raise RuntimeError("ghost 3 failed")
         return forward(self, *args, **kwargs)
 
