@@ -6,8 +6,10 @@ hyperbolic Adam training, and an exact structure re-parameterization that
 folds masks and batch normalization into plain affine maps for inference.
 """
 
-from .numerics import Rng, ShapeError
-from .entmax import EntmaxResult, entmax15, entmax15_backward
+# the package's seeded random stream: numpy's PCG64 Generator for a seed
+from numpy.random import default_rng as Rng
+
+from .entmax import EntmaxResult, ShapeError, entmax15, entmax15_backward
 from .layers import AbstractLayer, AbstractUnit, GhostBatchNorm, relu, sigmoid
 from .network import (BasicBlock, DANet, DANetConfig, FlopsReport, MlpHead,
                       count_flops)

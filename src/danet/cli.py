@@ -180,8 +180,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compress(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
-    if bundle.model.compressed:
-        raise ConfigError("compress: model is already compressed")
     cmodel = compress_model(bundle.model)
     save_model(args.out, cmodel, feature_names=bundle.feature_names,
                feature_kinds=bundle.feature_kinds, preprocess=bundle.preprocess,

@@ -15,8 +15,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .numerics import Rng
-
 
 class DataError(ValueError):
     """Malformed data, schema, or split request."""
@@ -26,8 +24,9 @@ class DataError(ValueError):
 class Dataset:
     """Feature matrix plus targets and per-column metadata.
 
-    ``cat_raw`` maps a categorical column's index to its raw string values,
-    one per row, until ``PreprocessState`` replaces them with numeric codes.
+    Classification targets are integer labels. ``cat_raw`` maps a
+    categorical column's index to its raw string values, one per row, until
+    ``PreprocessState`` replaces them with numeric codes.
     """
 
     features: np.ndarray
@@ -46,6 +45,10 @@ class Dataset:
             raise DataError("Dataset: names/kinds do not match feature count")
         if self.task not in ("class", "rank"):
             raise DataError(f"Dataset: task must be 'class' or 'rank', got {self.task!r}")
+        if self.task == "class" and not np.issubdtype(self.targets.dtype, np.integer):
+            # the labels index the logits in the loss
+            raise DataError(f"Dataset: classification targets must be integers, got "
+                            f"dtype {self.targets.dtype}")
         for j, vals in self.cat_raw.items():
             if not (isinstance(j, (int, np.integer)) and 0 <= j < self.n_features
                     and self.kinds[j] == "categorical"):
@@ -297,7 +300,7 @@ def stratified_split(ds: Dataset, frac: float = 0.2, seed: int = 0):
     n = ds.n_rows
     if n < 2:
         raise DataError("stratified_split: need at least 2 rows")
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     if ds.task == "class":
         valid_idx = []
         for label in np.unique(ds.targets):
@@ -359,7 +362,7 @@ def synth_generate(formula: int, n: int = 7000, seed: int = 0,
         raise DataError(f"synth_generate: n must be >= 1, got {n}")
     if task not in ("class", "rank"):
         raise DataError(f"synth_generate: task must be 'class' or 'rank', got {task!r}")
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, N_SYNTH_FEATURES))
     if formula in (2, 4):
         bad = np.abs(x[:, 0] - x[:, 2]) < 1e-300

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError
+
+class ShapeError(ValueError):
+    """Operand shapes do not conform."""
 
 
 @dataclass

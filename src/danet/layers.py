@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entmax import EntmaxResult, entmax15, entmax15_backward
-from .numerics import ShapeError
+from .entmax import EntmaxResult, ShapeError, entmax15, entmax15_backward
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -112,7 +111,7 @@ class Module:
         bns = [m for m in modules if isinstance(m, GhostBatchNorm)]
         units = [m for m in modules if isinstance(m, AbstractUnit)]
         for bn in bns:
-            bn.pending = [np.zeros(bn.dim), np.zeros(bn.dim), 0]
+            bn.pending = [0.0, 0.0, 0]  # the first ghost's += makes the arrays
         try:
             for unit in units:
                 unit.mask_cache = ()  # filled by the unit's first masked()
@@ -176,7 +175,7 @@ class GhostBatchNorm(Module):
         xhat = np.empty_like(x)
         inv_stds = []
         deferred = self.pending is not None
-        sums = self.pending if deferred else [np.zeros(self.dim), np.zeros(self.dim), 0]
+        sums = self.pending if deferred else [0.0, 0.0, 0]
         for s, e in bounds:
             # mean and biased variance as numpy's mean and var compute them,
             # centring once: xc is x - mu, scaled in place into xhat

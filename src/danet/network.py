@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entmax import ShapeError
 from .layers import AbstractLayer, AbstractUnit, Module, relu
-from .numerics import Rng, ShapeError
 
 
 @dataclass
@@ -217,7 +217,7 @@ class DANet(Module):
                  seed: int | np.random.Generator = 0):
         if n_features < 1:
             raise ValueError(f"DANet: n_features must be >= 1, got {n_features}")
-        rng = seed if isinstance(seed, np.random.Generator) else Rng(seed)
+        rng = np.random.default_rng(seed)
         self.n_features = n_features
         self.config = config
         self.ghost_size = ghost_size

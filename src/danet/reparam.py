@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entmax import ShapeError
 from .layers import AbstractUnit, GhostBatchNorm, Module, sigmoid
 from .network import DANet
-from .numerics import ShapeError
 
 
 def fold_bn(w_prime: np.ndarray, bn: GhostBatchNorm):

@@ -33,6 +33,8 @@ def test_parse_config_file_errors(tmp_path):
     p = tmp_path / "bad.cfg"
     for text, msg in (("depth 4", "expected 'key = value'"),
                       ("verbosity = 3", "unknown config key"),
+                      # a constant of the recipe, like QHAdam's, not a key
+                      ("weight_decay = 0", "unknown config key 'weight_decay'"),
                       ("depth = 4\ndepth = 6", "duplicate config key"),
                       ("depth = four", "cannot parse")):
         p.write_text(text, encoding="utf-8")
@@ -57,7 +59,7 @@ def test_defaults_are_the_config_dataclass_defaults():
     assert sorted(cfg) == sorted([
         "data", "schema", "out", "valid_frac", "task", "seed", "depth", "k0", "d0",
         "d1", "dropout", "head_hidden", "ghost_size", "batch_size", "lr0",
-        "decay_factor", "decay_every", "weight_decay", "max_epochs", "patience"])
+        "max_epochs", "patience"])
     for defaults in (TrainConfig(), DANetConfig()):
         for f in fields(defaults):
             if f.name != "num_classes":

@@ -378,6 +378,18 @@ def test_dataset_validation_and_subset():
     assert ds.features[2, 0] == 4.0  # subset copies
 
 
+@pytest.mark.parametrize("targets", [np.array([0.0, 1.0, 1.0]), np.array([False, True, True])],
+                         ids=["float", "bool"])
+def test_dataset_rejects_non_integer_class_targets(targets):
+    # class labels index the logits; a float label used to pass here and end
+    # in numpy's IndexError at the first training ghost
+    with pytest.raises(DataError, match="classification targets must be integers"):
+        Dataset(features=np.zeros((3, 1)), targets=targets, names=["a"],
+                kinds=["continuous"], task="class")
+    Dataset(features=np.zeros((3, 1)), targets=targets, names=["a"],
+            kinds=["continuous"], task="rank")  # the check is for class labels only
+
+
 @pytest.mark.parametrize("cat_raw, msg", [
     ({2: ["x", "y", "z"]}, "not a categorical column index"),  # no such column
     ({0: ["x", "y", "z"]}, "not a categorical column index"),  # a continuous column
