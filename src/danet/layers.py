@@ -290,6 +290,19 @@ class AbstractUnit(Module):
         return out, UnitCtx(f=f, mask=mask, w1p=w1p, w2p=w2p, bn1_ctx=bn1_ctx,
                             bn2_ctx=bn2_ctx, q=q)
 
+    @staticmethod
+    def forward_sum(units, f: np.ndarray, train: bool):
+        """(sum of the units' outputs on f, their contexts): how a layer runs
+        its units. A folded unit class (``reparam.CompressedUnit``) has its
+        own, which prepares f once for all of them."""
+        total, ctx = units[0].forward(f, train)
+        ctxs = [ctx]
+        for unit in units[1:]:
+            out, ctx = unit.forward(f, train)
+            total += out  # into the first unit's output, which no context keeps
+            ctxs.append(ctx)
+        return total, ctxs
+
     def backward(self, ctx: UnitCtx, dout: np.ndarray):
         """Returns (df, grads) with grads keyed like ``named_params``."""
         p, q = ctx.mask.probs, ctx.q
@@ -333,12 +346,7 @@ class AbstractLayer(Module):
         self.units = [AbstractUnit(in_dim, out_dim, ghost_size, rng) for _ in range(branches)]
 
     def forward(self, f: np.ndarray, train: bool):
-        total, ctx = self.units[0].forward(f, train)
-        ctxs = [ctx]
-        for unit in self.units[1:]:
-            out, ctx = unit.forward(f, train)
-            total += out  # into the first branch's output, which no context keeps
-            ctxs.append(ctx)
+        total, ctxs = self.units[0].forward_sum(self.units, f, train)
         if not train:
             return total, None
         return total, LayerCtx(owner=self, unit_ctxs=ctxs)

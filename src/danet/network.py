@@ -190,9 +190,10 @@ class BasicBlock(Module):
 
 # rows per scoring call in ``predict``. A block's activations (1024 x 64
 # float64 is 512 kB) stay in cache between the matmuls and the elementwise
-# steps: the benchmark's folded model scored 70k rows in 2.33 s at 1024-row
-# blocks against 3.28 s at 8192, and the live model 14k rows in 0.94 against
-# 1.29 s (medians of 6 runs, 2-core box, OpenBLAS on one thread)
+# steps (8192-row blocks were 1.4x slower). At 512, 1024 and 2048 rows the
+# benchmark's folded model scored 70k rows in 1.48, 1.69 and 1.45 s, within
+# the runs' spread of 1.27-1.77 s, and the live model 14k rows in 0.58, 0.56
+# and 0.71 s (medians of 5 and 3 runs, 2-core box, OpenBLAS on one thread)
 PREDICT_BLOCK = 1024
 
 

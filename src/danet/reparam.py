@@ -8,6 +8,16 @@ gamma/sigma and fold the BN shift into a bias. The compressed model computes
 exactly the same function (up to float round-off) with the mask projection
 and normalization gone. Only the units change: the compressed model is a
 ``DANet`` with the live blocks and layers, each unit in its folded form.
+
+A folded unit takes its gate's halves, sigmoid(u) = (1 + tanh(u/2)) / 2,
+from the prepared input: each bias is the last column of its weight
+matrix, a = [w | b], and a layer prepares its input once for all its units
+as xa = [x/2 | 1/2], so xa a1^T is u/2 and xa a2^T half the gated value.
+Halving is exact in binary floating point (short of subnormals) and the bias
+enters each dot product last, as a bias add does: where the BLAS kernel
+keeps its summation order (every case seen at 300 rows or more) the scores
+are bitwise those of the plain expression; elsewhere they differ by
+rounding only.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entmax import ShapeError
-from .layers import AbstractUnit, GhostBatchNorm, Module, sigmoid
+from .layers import AbstractUnit, GhostBatchNorm, Module
 from .network import DANet
 
 
@@ -40,34 +50,58 @@ def fold_bn(w_prime: np.ndarray, bn: GhostBatchNorm):
 
 @dataclass
 class CompressedUnit(Module):
-    """One folded branch: relu(sigmoid(x w1s^T + b1s) * (x w2s^T + b2s))."""
+    """One folded branch: relu(sigmoid(x w1s^T + b1s) * (x w2s^T + b2s)),
+    computed as the module docstring says.
 
-    w1s: np.ndarray
-    b1s: np.ndarray
-    w2s: np.ndarray
-    b2s: np.ndarray
+    It stores a1 = [w1s | b1s] and a2 = [w2s | b2s], each (out, in + 1), and
+    the four tensors are views of them: a write through one (a loader's,
+    ``load_state``'s) reaches the arithmetic, and a deep copy keeps the link.
+    """
+
+    a1: np.ndarray
+    a2: np.ndarray
+
+    w1s = property(lambda self: self.a1[:, :-1])
+    b1s = property(lambda self: self.a1[:, -1])
+    w2s = property(lambda self: self.a2[:, :-1])
+    b2s = property(lambda self: self.a2[:, -1])
 
     @property
     def in_dim(self) -> int:
-        return self.w1s.shape[1]
+        return self.a1.shape[1] - 1
 
     @property
     def out_dim(self) -> int:
-        return self.w1s.shape[0]
+        return self.a1.shape[0]
 
     def forward(self, x: np.ndarray, train: bool):
         """(out, None), as an eval-mode ``AbstractUnit.forward`` returns; a
         folded unit has no training mode."""
+        return self.forward_sum([self], x, train)
+
+    @staticmethod
+    def forward_sum(units, x: np.ndarray, train: bool):
+        """(sum of the units' outputs on x, None), from xa = [x/2 | 1/2]
+        made once for all of them. Every step writes in place, and the
+        units after the first share two block-sized buffers."""
         if train:
             raise ValueError("CompressedUnit: a folded unit has no training mode")
-        # in place, bitwise the class docstring's expression: two block-sized
-        # arrays and sigmoid's one, not a fresh array per step
-        z = x @ self.w1s.T
-        z += self.b1s
-        h = x @ self.w2s.T
-        h += self.b2s
-        h *= sigmoid(z)
-        return np.maximum(h, 0.0, out=h), None
+        xa = np.empty((x.shape[0], x.shape[1] + 1))
+        np.multiply(x, 0.5, out=xa[:, :-1])
+        xa[:, -1] = 0.5
+        total = z = h = None
+        for unit in units:
+            z = np.matmul(xa, unit.a1.T, out=z)  # u/2, u the gate's pre-activation
+            np.tanh(z, out=z)
+            z += 1.0  # twice the gate
+            h = np.matmul(xa, unit.a2.T, out=h)  # half the gated value
+            h *= z
+            np.maximum(h, 0.0, out=h)
+            if total is None:
+                total, h = h, None  # the sum starts as the first output
+            else:
+                total += h
+        return total, None
 
     def leaves(self):
         return [("w1s", "weight", self.w1s), ("b1s", "bias", self.b1s),
@@ -86,9 +120,8 @@ def compress_unit(unit: AbstractUnit) -> CompressedUnit:
                 "train at least one step or load trained statistics first"
             )
     _, w1p, w2p = unit.masked()  # exact mask zeros give exactly-zero columns
-    w1s, b1s = fold_bn(w1p, unit.bn1)
-    w2s, b2s = fold_bn(w2p, unit.bn2)
-    return CompressedUnit(w1s=w1s, b1s=b1s, w2s=w2s, b2s=b2s)
+    return CompressedUnit(a1=np.column_stack(fold_bn(w1p, unit.bn1)),
+                          a2=np.column_stack(fold_bn(w2p, unit.bn2)))
 
 
 def _fold_units(model: DANet, fold) -> DANet:
@@ -117,6 +150,6 @@ def compressed_like(model: DANet) -> DANet:
     """A zero-filled compressed model with the tensor shapes ``model`` folds
     to, for a loader to fill."""
     def zeros(unit):
-        return CompressedUnit(w1s=np.zeros_like(unit.w1), b1s=np.zeros(unit.out_dim),
-                              w2s=np.zeros_like(unit.w2), b2s=np.zeros(unit.out_dim))
+        shape = (unit.out_dim, unit.in_dim + 1)
+        return CompressedUnit(a1=np.zeros(shape), a2=np.zeros(shape))
     return _fold_units(model, zeros)

@@ -1,5 +1,6 @@
 """Folding masks and batch norm into affines must preserve the function."""
 
+import copy
 import json
 
 import numpy as np
@@ -249,6 +250,62 @@ def test_compressed_container_round_trip(tmp_path):
     save_model(p2, loaded.model, feature_names=loaded.feature_names,
                feature_kinds=loaded.feature_kinds, target_name="y")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_deep_copy_of_a_compressed_model_scores_the_same():
+    model, rng = _trained_model(15)
+    cmodel = compress_model(model)
+    twin = copy.deepcopy(cmodel)
+    for rows in (1, 7, 300):
+        x = rng.standard_normal((rows, 6)) * 2.0
+        assert np.array_equal(twin.scores(x), cmodel.scores(x))
+    # the copy's folded tensors are views of the copy's own arrays
+    for a, b in zip(twin.named_params(), cmodel.named_params()):
+        assert not np.shares_memory(a[2], b[2])
+    for unit in twin.blocks[0].main1.units:
+        assert np.shares_memory(unit.w1s, unit.a1) and np.shares_memory(unit.b2s, unit.a2)
+
+
+def test_a_reloaded_compressed_container_scores_as_its_source(tmp_path):
+    model, rng = _trained_model(16)
+    cmodel = compress_model(model)
+    path = tmp_path / "c.danet"
+    save_model(path, cmodel)
+    loaded = load_model(path).model
+    for rows in (1, 7, 300):
+        x = rng.standard_normal((rows, 6)) * 2.0
+        assert np.array_equal(loaded.scores(x), cmodel.scores(x))
+
+
+@pytest.mark.parametrize("leaf", ["w1s", "b1s", "w2s", "b2s"])
+def test_a_write_through_a_folded_tensor_changes_that_copy_only(leaf):
+    model, rng = _trained_model(17)
+    cmodel = compress_model(model)
+    twin = copy.deepcopy(cmodel)
+    x = rng.standard_normal((300, 6)) * 2.0
+    before = cmodel.scores(x)
+    arr = {name: a for name, _, a in twin.named_params()}[f"block0.main1.u0.{leaf}"]
+    arr += 0.5
+    assert not np.array_equal(twin.scores(x), before)
+    assert np.array_equal(cmodel.scores(x), before)
+
+
+@pytest.mark.parametrize("in_dim", [11, 32, 64, 200])
+def test_folded_matches_live_at_any_row_count_and_width(in_dim):
+    # the bias column can change the BLAS summation order, hence the rounding,
+    # for few rows or wide inputs; the folded function must still be the live one
+    unit, rng = _populated_unit(in_dim, in_dim=in_dim, out_dim=16)
+    cunit = compress_unit(unit)
+    for rows in (1, 2, 7, 64, 300):
+        x = rng.standard_normal((rows, in_dim)) * 2.0
+        live, _ = unit.forward(x, train=False)
+        assert np.max(np.abs(cunit.forward(x, train=False)[0] - live)) <= 1e-10
+    cfg = DANetConfig(depth=2, k0=2, d0=8, d1=8, dropout=0.0, task="rank")
+    model = DANet(in_dim, cfg, ghost_size=8, seed=in_dim)
+    for _ in range(3):
+        model.forward(rng.standard_normal((16, in_dim)), train=True)
+    x = rng.standard_normal((network.PREDICT_BLOCK + 368, in_dim))
+    assert np.max(np.abs(compress_model(model).predict(x) - model.predict(x))) <= 1e-10
 
 
 def test_rank_model_compresses_too():
