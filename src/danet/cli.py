@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: train, eval, compress, mask-report, synth, flops. Settings come
-from three layers with strict precedence: command-line flag, then config
-file, then built-in default. Config files are flat ``key = value`` lines
-(``#`` comments allowed); unknown keys are rejected.
+Subcommands: train, eval, compress, mask-report, synth, flops. Each train
+setting is declared once, in ``_KEYS``: it is a config-file key and a ``--key``
+flag, and both routes parse its value with ``_coerce``. A flag beats the config
+file, which beats the default. Config files are flat ``key = value`` lines
+(``#`` comments allowed, a UTF-8 byte-order mark ignored); unknown keys fail.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ _KEYS = _run_keys()
 
 def _coerce(key: str, raw: str):
     kind = _KEYS[key][0]
-    if kind is str:
-        return raw
     try:
         return kind(raw)
     except ValueError:
@@ -58,7 +57,7 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as e:
@@ -86,7 +85,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
+            values[key] = _coerce(key, flag)
     return argparse.Namespace(**values)
 
 
@@ -109,6 +108,7 @@ def _metric_name(task: str) -> str:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     _require(cfg, "train", "data", "schema", "out")
+    train_cfg = _build(TrainConfig, cfg)  # its checks (the seed's too) come first
     schema = read_schema(cfg.schema)
     ds = load_csv(cfg.data, schema, task=cfg.task)
     num_classes = 2
@@ -128,7 +128,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     net_cfg = _build(DANetConfig, cfg, num_classes=num_classes)
     model = DANet(train_set.n_features, net_cfg, ghost_size=cfg.ghost_size, seed=cfg.seed)
-    result = fit(model, train_set, valid_set, _build(TrainConfig, cfg))
+    result = fit(model, train_set, valid_set, train_cfg)
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,14 +224,13 @@ def cmd_flops(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
     model = bundle.model
     report = count_flops(model)
+    width = max(len(n) for n, _ in report.lines)
     if model.compressed:
-        width = max(len(n) for n, _ in report.lines)
         for name, n in report.lines:
             print(f"{name:<{width}}  {n}")
         print(f"{'total':<{width}}  {report.total}")
         return 0
     folded = count_flops(compressed_like(model))
-    width = max(len(n) for n, _ in report.lines)
     print(f"{'layer':<{width}}  {'original':>10}  {'compressed':>10}")
     for (name, n), (_, nf) in zip(report.lines, folded.lines):
         print(f"{name:<{width}}  {n:>10}  {nf:>10}")
@@ -251,16 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model end to end")
     p_train.set_defaults(run=cmd_train)
     p_train.add_argument("--config", help="flat key = value config file")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--depth", type=int, help="main-path abstraction layers (even)")
-    p_train.add_argument("--k0", type=int, help="branches per abstraction layer")
-    p_train.add_argument("--d0", type=int, help="block output width")
-    p_train.add_argument("--d1", type=int, help="intra-block width")
-    p_train.add_argument("--dropout", type=float, help="shortcut dropout rate")
-    p_train.add_argument("--task", choices=["class", "rank"])
-    p_train.add_argument("--data", help="training CSV")
-    p_train.add_argument("--schema", help="schema file (column=kind lines)")
-    p_train.add_argument("--out", help="output directory")
+    for key, (kind, default) in _KEYS.items():  # parsed by resolve_config, as in a file
+        p_train.add_argument(f"--{key}", metavar=kind.__name__.upper(),
+                             help="no default" if default is None else f"default {default}")
 
     p_eval = sub.add_parser("eval", help="score a saved model on a CSV")
     p_eval.set_defaults(run=cmd_eval)

@@ -83,7 +83,7 @@ SCHEMA_KINDS = ("continuous", "categorical", "target")
 def read_schema(path) -> dict:
     """Parse a schema file into an ordered {column: kind} mapping."""
     schema = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as e:
@@ -154,7 +154,7 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
     """
     if task not in ("class", "rank"):
         raise DataError(f"load_csv: task must be 'class' or 'rank', got {task!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -360,6 +360,8 @@ def synth_generate(formula: int, n: int = 7000, seed: int = 0,
         raise DataError(f"synth_generate: formula must be in {sorted(FORMULAS)}, got {formula}")
     if n < 1:
         raise DataError(f"synth_generate: n must be >= 1, got {n}")
+    if seed < 0:
+        raise DataError(f"synth_generate: seed must be >= 0, got {seed}")
     if task not in ("class", "rank"):
         raise DataError(f"synth_generate: task must be 'class' or 'rank', got {task!r}")
     rng = np.random.default_rng(seed)

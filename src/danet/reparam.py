@@ -48,7 +48,7 @@ def fold_bn(w_prime: np.ndarray, bn: GhostBatchNorm):
     return w_star, b_star
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity, as every Module
 class CompressedUnit(Module):
     """One folded branch: relu(sigmoid(x w1s^T + b1s) * (x w2s^T + b2s)),
     computed as the module docstring says.

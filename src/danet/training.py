@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: lr0 must be positive and finite, got {self.lr0}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("TrainConfig: max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig: seed must be >= 0, got {self.seed}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from danet import DANet, DANetConfig, Rng, TrainConfig, load_model, save_model
-from danet.cli import ConfigError, build_parser, main, parse_config_file, resolve_config
+from danet.cli import _KEYS, ConfigError, build_parser, main, parse_config_file, resolve_config
 
 
 def run(capsys, *argv):
@@ -27,6 +27,12 @@ def test_parse_config_file(tmp_path):
                  "\n"
                  "task = rank\n", encoding="utf-8")
     assert parse_config_file(p) == {"depth": 4, "lr0": 0.004, "task": "rank"}
+
+
+def test_parse_config_file_reads_a_byte_order_mark_as_nothing(tmp_path):
+    p = tmp_path / "bom.cfg"
+    p.write_text("\ufeffdepth = 4\n", encoding="utf-8")
+    assert parse_config_file(p) == {"depth": 4}
 
 
 def test_parse_config_file_errors(tmp_path):
@@ -52,6 +58,48 @@ def test_flag_beats_config_beats_default(tmp_path):
     assert cfg.k0 == 3             # config file wins over default
     assert cfg.lr0 == 0.001        # config-file-only key
     assert cfg.d0 == 32            # untouched default
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_every_key_is_a_flag_that_beats_the_file_that_beats_the_default(key, tmp_path):
+    kind, default = _KEYS[key]
+    if kind is str:
+        in_file, in_flag = "from-file", "from-flag"
+    else:
+        in_file, in_flag = kind(default + 1), kind(default + 2)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {in_file}\n", encoding="utf-8")
+    parse = build_parser().parse_args
+    assert getattr(resolve_config(parse(["train"])), key) == default
+    from_file = getattr(resolve_config(parse(["train", "--config", str(cfg_file)])), key)
+    assert from_file == in_file and type(from_file) is kind
+    from_flag = getattr(resolve_config(parse(
+        ["train", "--config", str(cfg_file), f"--{key}", str(in_flag)])), key)
+    assert from_flag == in_flag and type(from_flag) is kind
+
+
+@pytest.mark.parametrize("key, raw", [("depth", "x"), ("batch_size", "1.5"),
+                                      ("lr0", "fast"), ("valid_frac", "")])
+def test_a_bad_value_is_one_error_whether_flag_or_file(key, raw, tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    errors = []
+    for argv in (["train", f"--{key}", raw], ["train", "--config", str(cfg_file)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1] == (
+        f"error: config key {key!r}: cannot parse {raw!r} as {_KEYS[key][0].__name__}\n")
+
+
+def test_train_help_names_every_key_and_its_default(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["train", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for key, (_, default) in _KEYS.items():
+        assert f"--{key} " in text
+        assert ("no default" if default is None else f"default {default}") in text, key
 
 
 def test_defaults_are_the_config_dataclass_defaults():
@@ -354,3 +402,29 @@ def test_a_file_that_is_not_utf8_is_named_in_the_error(bad, trained, tmp_path, c
                        "--out", str(tmp_path / "run"))
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1
     assert str(paths[bad]) in err and "not UTF-8" in err
+
+
+def test_a_bad_task_or_negative_seed_is_one_typed_error(trained, tmp_path, capsys):
+    _, _, _, data, schema = trained
+    out = tmp_path / "run"
+    files = ["--data", str(data), "--schema", str(schema), "--out", str(out)]
+    for flag, value, word in (("--task", "bogus", "task"), ("--seed", "-1", "seed")):
+        code, _, err = run(capsys, "train", *files, flag, value)
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert word in err and value in err
+        assert not (out / "model.danet").exists()
+    code, _, err = run(capsys, "synth", "--formula", "1", "--seed", "-3",
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert "seed" in err and not (tmp_path / "x.csv").exists()
+
+
+def test_flags_alone_train_the_same_bytes_as_the_config_file(trained, tmp_path, capsys):
+    _, cfg, out_dir, _, _ = trained
+    argv = ["train", "--out", str(tmp_path / "flags")]
+    for key, value in parse_config_file(cfg).items():
+        argv += [f"--{key}", str(value)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    for name in ("model.danet", "history.csv", "metrics.txt"):
+        assert (tmp_path / "flags" / name).read_bytes() == (out_dir / name).read_bytes()

@@ -24,6 +24,17 @@ def test_read_schema(tmp_path):
                               "label": "target"}
 
 
+def test_read_schema_reads_a_byte_order_mark_as_nothing(tmp_path):
+    p = write(tmp_path / "s.schema", "\ufeffa=continuous\ny=target\n")
+    assert read_schema(p) == {"a": "continuous", "y": "target"}
+
+
+def test_load_csv_reads_a_byte_order_mark_as_nothing(tmp_path):
+    p = write(tmp_path / "d.csv", "\ufeffa,y\n1.5,0\n2.5,1\n")
+    ds = load_csv(p, {"a": "continuous", "y": "target"})
+    assert ds.names == ["a"] and np.array_equal(ds.features[:, 0], [1.5, 2.5])
+
+
 def test_read_schema_errors(tmp_path):
     cases = [
         ("a continuous", "expected 'column=kind'"),
@@ -333,6 +344,8 @@ def test_synth_generate_errors():
         synth_generate(1, n=0)
     with pytest.raises(DataError):
         synth_generate(1, task="other")
+    with pytest.raises(DataError, match="seed must be >= 0, got -3"):
+        synth_generate(1, seed=-3)
 
 
 def test_write_csv_round_trips_exactly(tmp_path):

@@ -195,6 +195,19 @@ def test_a_compressed_model_is_a_danet_with_folded_units():
     assert not model.compressed  # the source keeps its live units
 
 
+def test_folded_units_compare_and_hash_by_identity():
+    model, _ = _trained_model(18)
+    cmodel = compress_model(model)
+    for m in (model, cmodel):  # live and folded units alike
+        units = m.blocks[0].main1.units
+        assert units[1] in units and units.index(units[1]) == 1
+        every = [u for layer in (b.main1 for b in m.blocks) for u in layer.units]
+        assert len(set(every)) == len(every) == 4
+    twin = copy.deepcopy(cmodel).blocks[0].main1.units[0]
+    assert twin != cmodel.blocks[0].main1.units[0]  # equal arrays, another unit
+    assert twin not in cmodel.blocks[0].main1.units
+
+
 def test_compress_model_is_detached_from_the_source():
     model, rng = _trained_model(6)
     cmodel = compress_model(model)

@@ -25,6 +25,8 @@ def test_train_config_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="lr0"):
             TrainConfig(lr0=value)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
 
 
 def test_lr_schedule_steps_every_20_epochs():
