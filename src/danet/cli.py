@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: train, eval, compress, mask-report, synth, flops. Each train
+Subcommands: train, eval, compress, inspect, synth. Each train
 setting is declared once, in ``_KEYS``: it is a config-file key and a ``--key``
 flag, and both routes parse its value with ``_coerce``. A flag beats the config
 file, which beats the default. Config files are flat ``key = value`` lines
@@ -20,6 +20,7 @@ import numpy as np
 from .data import (DataError, load_csv, PreprocessState, read_schema,
                    stratified_split, synth_generate, write_csv)
 from .entmax import entmax15
+from .layers import AbstractUnit
 from .network import DANet, DANetConfig, count_flops
 from .reparam import compress_model, compressed_like
 from .serialize import ContainerError, load_model, save_model
@@ -89,12 +90,6 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(**values)
 
 
-def _require(cfg: argparse.Namespace, command: str, *keys: str) -> None:
-    for key in keys:
-        if getattr(cfg, key) in (None, ""):
-            raise ConfigError(f"{command}: --{key} (or config key '{key}') is required")
-
-
 def _build(cls, cfg: argparse.Namespace, **given):
     """``cls`` built from the resolved keys that name its fields, plus ``given``."""
     return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in given},
@@ -107,7 +102,9 @@ def _metric_name(task: str) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    _require(cfg, "train", "data", "schema", "out")
+    for key in ("data", "schema", "out"):
+        if getattr(cfg, key) in (None, ""):
+            raise ConfigError(f"train: --{key} (or config key '{key}') is required")
     train_cfg = _build(TrainConfig, cfg)  # its checks (the seed's too) come first
     schema = read_schema(cfg.schema)
     ds = load_csv(cfg.data, schema, task=cfg.task)
@@ -149,9 +146,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_eval_dataset(bundle, data_path, schema_path):
-    if schema_path:
-        schema = read_schema(schema_path)
+def cmd_eval(args: argparse.Namespace) -> int:
+    bundle = load_model(args.model)
+    if args.schema:
+        schema = read_schema(args.schema)
     else:
         if bundle.feature_names is None or bundle.manifest.get("target") is None:
             raise ConfigError(
@@ -159,7 +157,7 @@ def _load_eval_dataset(bundle, data_path, schema_path):
             )
         schema = {n: k for n, k in zip(bundle.feature_names, bundle.feature_kinds)}
         schema[bundle.manifest["target"]] = "target"
-    ds = load_csv(data_path, schema, task=bundle.model.task)
+    ds = load_csv(args.data, schema, task=bundle.model.task)
     if bundle.preprocess is not None:
         ds = bundle.preprocess.apply(ds)
     if ds.n_features != bundle.model.n_features:
@@ -167,12 +165,6 @@ def _load_eval_dataset(bundle, data_path, schema_path):
             f"eval: dataset has {ds.n_features} features, model expects "
             f"{bundle.model.n_features}"
         )
-    return ds
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    bundle = load_model(args.model)
-    ds = _load_eval_dataset(bundle, args.data, args.schema)
     metric = evaluate(bundle.model, ds)
     print(f"{_metric_name(bundle.model.task)}={metric:.6f}")
     return 0
@@ -191,22 +183,35 @@ def cmd_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mask_report(args: argparse.Namespace) -> int:
+def cmd_inspect(args: argparse.Namespace) -> int:
+    """One line per live unit: its mask's support and nonzero probabilities,
+    by feature name for the units that read the raw features; then the flop
+    table, with the folded column beside a live model's own."""
     bundle = load_model(args.model)
     model = bundle.model
-    if model.compressed:
-        raise ConfigError("mask-report: masks are folded away in a compressed model")
-    names = bundle.feature_names or [f"f{i}" for i in range(model.n_features)]
-    # the units that read the raw features, in walk order
-    raw = {id(u) for layer in [model.blocks[0].main1] + [b.shortcut for b in model.blocks]
+    raw = {id(u) for layer in [model.blocks[0].main1, *(b.shortcut for b in model.blocks)]
            for u in layer.units}
-    rows = [(prefix[:-1], unit) for prefix, unit in model.walk() if id(unit) in raw]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["mask"] + list(names)) + "\n")
-        for label, unit in rows:
+    for prefix, unit in model.walk():
+        if isinstance(unit, AbstractUnit):
+            names = (bundle.feature_names if id(unit) in raw and bundle.feature_names
+                     else [f"f{j}" for j in range(unit.in_dim)])
             probs = entmax15(unit.mask_logits).probs
-            fh.write(",".join([label] + [repr(float(p)) for p in probs]) + "\n")
-    print(f"wrote {len(rows)} mask rows to {args.out}")
+            kept = [f"{n}={float(p)!r}" for n, p in zip(names, probs) if p > 0]
+            print(f"{prefix[:-1]} support={len(kept)}/{unit.in_dim} {' '.join(kept)}")
+    live = count_flops(model)
+    if model.compressed:
+        print("masks: folded away in a compressed model")
+        reports = {"compressed": live}
+    else:
+        reports = {"original": live, "compressed": count_flops(compressed_like(model))}
+    columns = [r.as_dict() for r in reports.values()]
+    rows = [("layer", *reports)] + [(name, *(c[name] for c in columns)) for name, _ in live.lines]
+    rows.append(("total", *(r.total for r in reports.values())))
+    width = max(len(name) for name, _ in live.lines)
+    for name, *cells in rows:
+        print(f"{name:<{width}}" + "".join(f"  {c:>10}" for c in cells))
+    if "original" in reports:
+        print(f"reduction={100.0 * (1.0 - reports['compressed'].total / live.total):.2f}%")
     return 0
 
 
@@ -217,25 +222,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         lines = [f"{n}=continuous" for n in ds.names] + ["target=target"]
         Path(args.schema_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {ds.n_rows} rows to {args.out}")
-    return 0
-
-
-def cmd_flops(args: argparse.Namespace) -> int:
-    bundle = load_model(args.model)
-    model = bundle.model
-    report = count_flops(model)
-    width = max(len(n) for n, _ in report.lines)
-    if model.compressed:
-        for name, n in report.lines:
-            print(f"{name:<{width}}  {n}")
-        print(f"{'total':<{width}}  {report.total}")
-        return 0
-    folded = count_flops(compressed_like(model))
-    print(f"{'layer':<{width}}  {'original':>10}  {'compressed':>10}")
-    for (name, n), (_, nf) in zip(report.lines, folded.lines):
-        print(f"{name:<{width}}  {n:>10}  {nf:>10}")
-    print(f"{'total':<{width}}  {report.total:>10}  {folded.total:>10}")
-    print(f"reduction={100.0 * (1.0 - folded.total / report.total):.2f}%")
     return 0
 
 
@@ -265,10 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--model", required=True)
     p_comp.add_argument("--out", required=True)
 
-    p_mask = sub.add_parser("mask-report", help="CSV of the first-level feature masks")
-    p_mask.set_defaults(run=cmd_mask_report)
-    p_mask.add_argument("--model", required=True)
-    p_mask.add_argument("--out", required=True)
+    p_insp = sub.add_parser("inspect", help="unit mask supports and the flop table")
+    p_insp.set_defaults(run=cmd_inspect)
+    p_insp.add_argument("--model", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p_synth.set_defaults(run=cmd_synth)
@@ -279,15 +264,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--schema-out", dest="schema_out",
                          help="also write the matching schema file")
-
-    p_flops = sub.add_parser("flops", help="per-layer inference cost")
-    p_flops.set_defaults(run=cmd_flops)
-    p_flops.add_argument("--model", required=True)
     return parser
 
 
+def _glue_signed_numbers(argv: list) -> list:
+    """``--key -1e-3`` as ``--key=-1e-3``. argparse reads a word after a flag
+    as an option unless it is shaped like ``-1`` or ``-.5``; the glued form it
+    reads as the flag's value. Only words that ``float`` parses are glued."""
+    out = []
+    for word in argv:
+        try:
+            float(word)
+            if word.startswith("-") and out and out[-1].startswith("--") and "=" not in out[-1]:
+                out[-1] += "=" + word
+                continue
+        except ValueError:
+            pass
+        out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_signed_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except (ConfigError, ContainerError, DataError, TrainingError, ValueError,

@@ -11,7 +11,6 @@ logits or a regression score.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,8 +301,7 @@ class DANet(Module):
         masks its weights once for all the blocks."""
         x = self._check_input(x)
         starts = range(0, max(x.shape[0], 1), PREDICT_BLOCK)
-        # a folded model has no masks to cache
-        with nullcontext() if self.compressed else self.fixed_params():
+        with self.fixed_params():
             out = np.concatenate([self.scores(x[s:s + PREDICT_BLOCK]) for s in starts])
         if self.config.task == "class":
             return np.argmax(out, axis=1)

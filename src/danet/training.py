@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -201,7 +201,10 @@ class FitResult:
     history: list  # (epoch, lr, train_loss, valid_metric)
     best_epoch: int
     best_metric: float
-    epochs_run: int = field(default=0)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.history)
 
 
 def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
@@ -262,8 +265,7 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
 
     if best_state is not None:
         model.load_state(best_state)
-    return FitResult(history=history, best_epoch=best_epoch, best_metric=best_metric,
-                     epochs_run=len(history))
+    return FitResult(history=history, best_epoch=best_epoch, best_metric=best_metric)
 
 
 def history_to_csv(history: list, path) -> None:

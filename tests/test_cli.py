@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from danet import DANet, DANetConfig, Rng, TrainConfig, load_model, save_model
+import danet.cli
+from danet import (AbstractUnit, DANet, DANetConfig, Rng, TrainConfig, count_flops, entmax15,
+                   load_model, save_model)
+from danet.reparam import compressed_like
 from danet.cli import _KEYS, ConfigError, build_parser, main, parse_config_file, resolve_config
 
 
@@ -131,6 +134,18 @@ def test_readme_key_table_lists_the_resolved_defaults():
         if default is not None and not isinstance(default, str):
             value = type(default)(value)
         assert value == default, key
+
+
+def test_the_docs_name_the_parsers_subcommands():
+    parser_help = build_parser().format_help()
+    commands = set(re.search(r"\{([\w,-]+)\}", parser_help).group(1).split(","))
+    doc = re.search(r"Subcommands: ([^.]+)\.", " ".join(danet.cli.__doc__.split())).group(1)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = re.search(r"^  cli\.py +(.+)$", readme, re.M).group(1)
+    quick = readme.split("## Quick start (CLI)\n\n```bash\n", 1)[1].split("```", 1)[0]
+    assert set(doc.split(", ")) == commands
+    assert set(layout.split(" / ")) == commands
+    assert set(re.findall(r"^danet (\S+)", quick, re.M)) == commands
 
 
 def test_synth_writes_csv_and_schema(tmp_path, capsys):
@@ -265,54 +280,89 @@ def test_compress_preserves_the_metric(trained, tmp_path, capsys):
     code, _, err = run(capsys, "compress", "--model", str(small),
                        "--out", str(tmp_path / "again.danet"))
     assert code == 1 and "already compressed" in err
-    code, _, err = run(capsys, "mask-report", "--model", str(small),
-                       "--out", str(tmp_path / "masks.csv"))
-    assert code == 1 and "masks are folded away" in err
+    code, stdout, _ = run(capsys, "inspect", "--model", str(small))
+    assert code == 0 and stdout.startswith("masks: folded away in a compressed model\n")
 
 
-def test_mask_report_rows_and_uniform_fresh_masks(tmp_path, capsys):
+def inspect_report(capsys, path):
+    """``danet inspect`` output as (mask lines, table rows split into cells)."""
+    code, stdout, err = run(capsys, "inspect", "--model", str(path))
+    assert code == 0 and err == ""
+    lines = stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("layer "))
+    return lines[:at], [line.split() for line in lines[at:]]
+
+
+def test_inspect_names_the_raw_units_features_and_fresh_masks_are_uniform(tmp_path, capsys):
     model = DANet(5, DANetConfig(depth=4, k0=2, d0=3, d1=4), seed=1)
     path = tmp_path / "fresh.danet"
     save_model(path, model, feature_names=list("abcde"),
                feature_kinds=["continuous"] * 5, target_name="y")
-    report = tmp_path / "masks.csv"
-    code, stdout, _ = run(capsys, "mask-report", "--model", str(path),
-                          "--out", str(report))
-    assert code == 0 and "wrote 6 mask rows" in stdout
-    lines = report.read_text().splitlines()
-    assert lines[0] == "mask,a,b,c,d,e"
-    labels = [line.split(",")[0] for line in lines[1:]]
-    assert labels == ["block0.main1.u0", "block0.main1.u1",
-                      "block0.shortcut.u0", "block0.shortcut.u1",
-                      "block1.shortcut.u0", "block1.shortcut.u1"]
-    for line in lines[1:]:  # zero-init logits spread mass evenly
-        probs = [float(v) for v in line.split(",")[1:]]
-        assert np.allclose(probs, 0.2)
+    masks, _ = inspect_report(capsys, path)
+    units = [(prefix[:-1], u) for prefix, u in model.walk() if isinstance(u, AbstractUnit)]
+    assert [line.split()[0] for line in masks] == [label for label, _ in units]
+    raw = [line for line in masks if line.split()[1] == "support=5/5"]
+    assert [line.split()[0] for line in raw] == [
+        "block0.main1.u0", "block0.main1.u1", "block0.shortcut.u0", "block0.shortcut.u1",
+        "block1.shortcut.u0", "block1.shortcut.u1"]
+    for line, (_, unit) in zip(masks, units):  # zero-init logits spread mass evenly
+        cells = [cell.split("=") for cell in line.split()[2:]]
+        names = "abcde" if line in raw else [f"f{j}" for j in range(unit.in_dim)]
+        assert [n for n, _ in cells] == list(names)
+        assert np.allclose([float(p) for _, p in cells], 1.0 / unit.in_dim)
 
 
-def test_flops_report_table(trained, capsys):
+def test_inspect_mask_probabilities_are_the_units_entmax_bit_for_bit(trained, tmp_path, capsys):
     _, _, out_dir, _, _ = trained
-    code, stdout, _ = run(capsys, "flops", "--model", str(out_dir / "model.danet"))
-    assert code == 0
-    lines = stdout.splitlines()
-    assert lines[0].split() == ["layer", "original", "compressed"]
-    assert any(line.startswith("block0.main1") for line in lines)
-    total = next(line for line in lines if line.startswith("total"))
-    orig, folded = (int(v) for v in total.split()[1:])
-    assert folded < orig
-    assert lines[-1].startswith("reduction=") and lines[-1].endswith("%")
+    bundle = load_model(out_dir / "model.danet")
+    masks, _ = inspect_report(capsys, out_dir / "model.danet")
+    units = [u for _, u in bundle.model.walk() if isinstance(u, AbstractUnit)]
+    assert len(masks) == len(units)
+    for line, unit, raw in zip(masks, units, [True, False, True]):
+        probs = entmax15(unit.mask_logits).probs
+        names = bundle.feature_names if raw else [f"f{j}" for j in range(unit.in_dim)]
+        kept = [f"{n}={float(p)!r}" for n, p in zip(names, probs) if p > 0]
+        assert line.split()[1:] == [f"support={len(kept)}/{unit.in_dim}"] + kept
+        assert [float(cell.split("=")[1]) for cell in line.split()[2:]] == list(probs[probs > 0])
+    # with no feature names in the container, the raw units read f0, f1, ...
+    bare = tmp_path / "bare.danet"
+    save_model(bare, bundle.model)
+    bare_masks, _ = inspect_report(capsys, bare)
+    assert bare_masks == [re.sub(r" v(\d+)=", r" f\1=", line) for line in masks]
+    assert bare_masks != masks
 
 
-def test_flops_on_a_compressed_model(trained, tmp_path, capsys):
+def test_inspect_flop_table_is_count_flops_live_and_folded(trained, capsys):
+    _, _, out_dir, _, _ = trained
+    model = load_model(out_dir / "model.danet").model
+    _, table = inspect_report(capsys, out_dir / "model.danet")
+    live, folded = count_flops(model), count_flops(compressed_like(model))
+    assert table[0] == ["layer", "original", "compressed"]
+    assert table[1:-2] == [[name, str(n), str(nf)]
+                           for (name, n), (_, nf) in zip(live.lines, folded.lines)]
+    assert table[-2] == ["total", str(live.total), str(folded.total)]
+    assert folded.total < live.total
+    assert table[-1] == [f"reduction={100.0 * (1.0 - folded.total / live.total):.2f}%"]
+
+
+def test_inspect_on_a_compressed_model_prints_one_column(trained, tmp_path, capsys):
     _, _, out_dir, _, _ = trained
     small = tmp_path / "c.danet"
     run(capsys, "compress", "--model", str(out_dir / "model.danet"),
         "--out", str(small))
-    code, stdout, _ = run(capsys, "flops", "--model", str(small))
-    assert code == 0
-    lines = stdout.splitlines()
-    assert lines[-1].startswith("total")
-    assert not any("reduction" in line for line in lines)
+    masks, table = inspect_report(capsys, small)
+    assert masks == ["masks: folded away in a compressed model"]
+    report = count_flops(load_model(small).model)
+    live = load_model(out_dir / "model.danet").model
+    assert report.lines == count_flops(compressed_like(live)).lines
+    assert table == ([["layer", "compressed"]] + [[name, str(n)] for name, n in report.lines]
+                     + [["total", str(report.total)]])
+
+
+def test_inspect_takes_only_a_model(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["inspect", "--help"])
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--model"}
 
 
 def test_train_requires_data_schema_out(capsys):
@@ -417,6 +467,25 @@ def test_a_bad_task_or_negative_seed_is_one_typed_error(trained, tmp_path, capsy
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1
     assert "seed" in err and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--lr0", "-1e-3", "error: TrainConfig: lr0 must be positive and finite, got -0.001\n"),
+    ("--dropout", "-1e-1", "error: DANetConfig: dropout must be in [0, 1), got -0.1\n")],
+    ids=["lr0", "dropout"])
+def test_a_negative_value_in_exponent_form_reaches_the_config_check(
+        flag, value, error, trained, tmp_path, capsys):
+    _, _, _, data, schema = trained
+    code, _, err = run(capsys, "train", "--data", str(data), "--schema", str(schema),
+                       "--out", str(tmp_path / "run"), flag, value)
+    assert (code, err) == (1, error)
+
+
+def test_a_flag_name_after_a_flag_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--data", "--out", "x"])
+    assert exit_info.value.code == 2
+    assert "--data: expected one argument" in capsys.readouterr().err
 
 
 def test_flags_alone_train_the_same_bytes_as_the_config_file(trained, tmp_path, capsys):

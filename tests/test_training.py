@@ -548,6 +548,5 @@ def test_history_csv_round_trips_floats(tmp_path):
 
 
 def test_fit_result_shape():
-    res = FitResult(history=[(0, 0.1, 1.0, 0.5)], best_epoch=0, best_metric=0.5,
-                    epochs_run=1)
+    res = FitResult(history=[(0, 0.1, 1.0, 0.5)], best_epoch=0, best_metric=0.5)
     assert res.best_epoch == 0 and res.epochs_run == 1
