@@ -10,6 +10,7 @@ file, which beats the default. Config files are flat ``key = value`` lines
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -287,7 +288,14 @@ def _glue_signed_numbers(argv: list) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_glue_signed_numbers(sys.argv[1:] if argv is None else argv))
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped early (`danet inspect ... | head`): no
+        # error line, and stdout goes to devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, ContainerError, DataError, TrainingError, ValueError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -49,10 +49,11 @@ class Module:
     sub-modules (``children``); the walk below composes the dotted names and
     fixes their order, which the optimizer state, ``DANet.state_dict``, the
     model container's tensor order and the backward passes' gradient dicts
-    (through ``named_grads``) all follow.
+    (through ``summing_grads``) all follow.
     """
 
     CHILDREN = ()  # attribute names of the sub-modules, in walk order
+    grad_sums = None  # {leaf name: gradient sum} while ``summing_grads`` holds them open
 
     def leaves(self):
         """(name, kind, array) of this node's own tensors; kind "buffer"
@@ -82,17 +83,47 @@ class Module:
     def named_bns(self):
         return [(prefix[:-1], m) for prefix, m in self.walk() if isinstance(m, GhostBatchNorm)]
 
-    def named_grads(self, own: dict, *child_grads: dict) -> dict:
-        """This node's gradient dict, keyed and ordered as ``named_params``.
+    def add_grads(self, **grads):
+        """Adds gradients, keyed by leaf name, into this node's open sums."""
+        sums = self.grad_sums
+        for name, g in grads.items():
+            if name in sums:
+                sums[name] += g
+            else:
+                sums[name] = g
 
-        ``own`` maps the names of this node's trained leaves to their
-        gradients; ``child_grads`` holds one such (already named) dict per
-        child, in ``children()`` order.
+    def finished_grads(self) -> dict:
+        """This node's own gradients, keyed by leaf name, from its sums."""
+        return self.grad_sums
+
+    @contextmanager
+    def summing_grads(self):
+        """For a ``with`` statement around a backward pass or a training step.
+
+        Backward passes add their gradients into the sums of the modules
+        they cover. If this node's sums are open already (inside a step, or
+        inside a parent's backward), the yielded dict stays empty and whoever
+        opened them finishes them. Otherwise this opens the sums of this node
+        and every descendant, and a normal exit fills the yielded dict with
+        the finished gradients, keyed and ordered as ``named_params``. The
+        sums are dropped on any exit.
         """
-        grads = {name: own[name] for name, kind, _ in self.leaves() if kind != "buffer"}
-        for (name, _), sub in zip(self.children(), child_grads, strict=True):
-            grads.update((f"{name}.{key}", g) for key, g in sub.items())
-        return grads
+        grads = {}
+        if self.grad_sums is not None:
+            yield grads
+            return
+        walked = list(self.walk())
+        for _, m in walked:
+            m.grad_sums = {}
+        try:
+            yield grads
+            for prefix, m in walked:
+                own = m.finished_grads()
+                grads.update((prefix + name, own[name]) for name, kind, _ in m.leaves()
+                             if kind != "buffer")
+        finally:
+            for _, m in walked:
+                m.grad_sums = None
 
     @contextmanager
     def fixed_params(self):
@@ -129,8 +160,8 @@ class Module:
 @dataclass
 class BatchNormCtx:
     bounds: list  # (start, stop) row ranges, one per ghost
-    xhat: np.ndarray
-    inv_std: list  # per-ghost 1/sqrt(var + eps), each shape (dim,)
+    xc: np.ndarray  # the input minus its ghost's mean
+    inv: list  # per-ghost 1/sqrt(var + eps), each shape (dim,)
 
 
 class GhostBatchNorm(Module):
@@ -171,29 +202,34 @@ class GhostBatchNorm(Module):
         if rows < 1:
             raise ValueError("GhostBatchNorm: empty batch in training mode")
         bounds = [(s, min(s + self.ghost_size, rows)) for s in range(0, rows, self.ghost_size)]
-        y = np.empty_like(x)
-        xhat = np.empty_like(x)
-        inv_stds = []
+        xc = np.empty_like(x)
+        invs = []
         deferred = self.pending is not None
         sums = self.pending if deferred else [0.0, 0.0, 0]
         for s, e in bounds:
-            # mean and biased variance as numpy's mean and var compute them,
-            # centring once: xc is x - mu, scaled in place into xhat
+            # column sums in one pass each: the mean, then the biased
+            # variance from the centred ghost
             n = e - s
             mu = x[s:e].sum(axis=0) / n
-            xc = np.subtract(x[s:e], mu, out=xhat[s:e])
-            var = (xc * xc).sum(axis=0) / n
-            inv = 1.0 / np.sqrt(var + self.eps)
-            xc *= inv
-            np.multiply(self.gamma, xc, out=y[s:e])
-            y[s:e] += self.beta
-            inv_stds.append(inv)
+            c = np.subtract(x[s:e], mu, out=xc[s:e])
+            var = np.einsum("ij,ij->j", c, c) / n
+            invs.append(1.0 / np.sqrt(var + self.eps))
             sums[0] += mu
             sums[1] += var
         sums[2] += len(bounds)
         if not deferred:
             self.update_running(*sums)
-        return y, BatchNormCtx(bounds=bounds, xhat=xhat, inv_std=inv_stds)
+        ctx = BatchNormCtx(bounds=bounds, xc=xc, inv=invs)
+        return self.output(ctx), ctx
+
+    def output(self, ctx: BatchNormCtx) -> np.ndarray:
+        """The training-mode output of the forward that made ``ctx``, bit for
+        bit: ``xc * (gamma * inv) + beta``, ghost by ghost."""
+        y = np.empty_like(ctx.xc)
+        for (s, e), inv in zip(ctx.bounds, ctx.inv):
+            ys = np.multiply(ctx.xc[s:e], self.gamma * inv, out=y[s:e])
+            ys += self.beta
+        return y
 
     def update_running(self, mean_sum: np.ndarray, var_sum: np.ndarray, n_ghosts: int):
         """One moving-average step towards the mean of the ghost statistics."""
@@ -204,19 +240,26 @@ class GhostBatchNorm(Module):
 
     def backward(self, ctx: BatchNormCtx, dy: np.ndarray):
         """Returns (dx, dgamma, dbeta). Gradients do not flow through the
-        running-statistic buffers."""
-        dgamma = (dy * ctx.xhat).sum(axis=0)
-        dbeta = dy.sum(axis=0)
+        running-statistic buffers.
+
+        Per ghost of n rows, with a = gamma * inv, db = sum(dy) and
+        sxc = sum(dy * xc) over the ghost's rows (dgamma is sxc * inv):
+        dx = a * dy - a * db / n - xc * (a * inv**2 * sxc / n).
+        """
         dx = np.empty_like(dy)
-        for (s, e), inv in zip(ctx.bounds, ctx.inv_std):
+        dgamma = np.zeros(self.dim)
+        dbeta = np.zeros(self.dim)
+        for (s, e), inv in zip(ctx.bounds, ctx.inv):
             n = e - s
-            dxh = dy[s:e] * self.gamma
-            xh = ctx.xhat[s:e]
-            # (inv / n) * (n * dxh - dxh.sum - xh * (dxh * xh).sum), in place
-            d = np.multiply(n, dxh, out=dx[s:e])
-            d -= dxh.sum(axis=0)
-            d -= xh * (dxh * xh).sum(axis=0)
-            d *= inv / n
+            g, xc = dy[s:e], ctx.xc[s:e]
+            db = g.sum(axis=0)
+            sxc = np.einsum("ij,ij->j", g, xc)
+            a = self.gamma * inv
+            d = np.multiply(g, a, out=dx[s:e])
+            d -= a * db / n
+            d -= xc * (a * inv * inv * sxc / n)
+            dgamma += sxc * inv
+            dbeta += db
         return dx, dgamma, dbeta
 
     def leaves(self):
@@ -277,14 +320,15 @@ class AbstractUnit(Module):
         """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), p the
         learned sparse mask shared by every row; ReLU on the product. The
         context keeps f, the mask and masked weights, both batch norms'
-        contexts and q; the backward recomputes h2 from bn2's xhat."""
+        contexts and q; the backward rebuilds h2 with ``bn2.output``."""
         if f.ndim != 2 or f.shape[1] != self.in_dim:
             raise ShapeError(f"AbstractUnit: expected (rows, {self.in_dim}), got {f.shape}")
         mask, w1p, w2p = self.masked()
         h1, bn1_ctx = self.bn1.forward(f @ w1p.T, train)
         q = sigmoid(h1)
         h2, bn2_ctx = self.bn2.forward(f @ w2p.T, train)
-        out = relu(q * h2)
+        out = np.multiply(q, h2, out=h2)  # no context keeps h2
+        np.maximum(out, 0.0, out=out)
         if not train:
             return out, None
         return out, UnitCtx(f=f, mask=mask, w1p=w1p, w2p=w2p, bn1_ctx=bn1_ctx,
@@ -304,22 +348,39 @@ class AbstractUnit(Module):
         return total, ctxs
 
     def backward(self, ctx: UnitCtx, dout: np.ndarray):
-        """Returns (df, grads) with grads keyed like ``named_params``."""
-        p, q = ctx.mask.probs, ctx.q
-        h2 = self.bn2.gamma * ctx.bn2_ctx.xhat + self.bn2.beta  # bn2's output, bit for bit
-        dgated = dout * (q * h2 > 0.0)
-        dq = dgated * h2
-        dh2 = dgated * q
-        dh1 = dq * q * (1.0 - q)
-        da1, dg1, db1 = self.bn1.backward(ctx.bn1_ctx, dh1)
-        da2, dg2, db2 = self.bn2.backward(ctx.bn2_ctx, dh2)
-        g1 = da1.T @ ctx.f
-        g2 = da2.T @ ctx.f
-        df = da1 @ ctx.w1p + da2 @ ctx.w2p
-        dmask = (g1 * self.w1 + g2 * self.w2).sum(axis=0)
-        dlogits = entmax15_backward(ctx.mask, dmask)
-        return df, self.named_grads({"mask": dlogits, "w1": g1 * p, "w2": g2 * p},
-                                    {"gamma": dg1, "beta": db1}, {"gamma": dg2, "beta": db2})
+        """Returns (df, grads), grads keyed like ``named_params`` (empty inside
+        an enclosing ``summing_grads``). Adds the raw weight gradients
+        da^T f and both batch norms' gradients into the sums; the mask is
+        applied when they are finished (``finished_grads``)."""
+        with self.summing_grads() as grads:
+            q = ctx.q
+            h2 = self.bn2.output(ctx.bn2_ctx)
+            dgated = np.multiply(q, h2)
+            np.greater(dgated, 0.0, out=dgated)  # the ReLU's gate, as 1.0 or 0.0
+            dgated *= dout
+            dh1 = np.multiply(h2, dgated, out=h2)  # dq, taken through the sigmoid below
+            dh2 = np.multiply(dgated, q, out=dgated)
+            dh1 *= q
+            dh1 *= 1.0 - q
+            da1, dg1, db1 = self.bn1.backward(ctx.bn1_ctx, dh1)
+            da2, dg2, db2 = self.bn2.backward(ctx.bn2_ctx, dh2)
+            self.grad_sums["entmax"] = ctx.mask  # the mask finished_grads applies
+            self.add_grads(w1=da1.T @ ctx.f, w2=da2.T @ ctx.f)
+            self.bn1.add_grads(gamma=dg1, beta=db1)
+            self.bn2.add_grads(gamma=dg2, beta=db2)
+            df = da1 @ ctx.w1p
+            df += da2 @ ctx.w2p
+        return df, grads
+
+    def finished_grads(self) -> dict:
+        """The masked weight gradients G * p from the summed raw ones G, and
+        one entmax backward of the summed mask gradient (linear in it for a
+        fixed mask)."""
+        sums = self.grad_sums
+        mask, g1, g2 = sums["entmax"], sums["w1"], sums["w2"]
+        dmask = np.einsum("ij,ij->j", g1, self.w1) + np.einsum("ij,ij->j", g2, self.w2)
+        return {"mask": entmax15_backward(mask, dmask), "w1": g1 * mask.probs,
+                "w2": g2 * mask.probs}
 
     def leaves(self):
         return [("mask", "mask", self.mask_logits), ("w1", "weight", self.w1),
@@ -352,8 +413,9 @@ class AbstractLayer(Module):
         return total, LayerCtx(owner=self, unit_ctxs=ctxs)
 
     def backward(self, ctx: LayerCtx, dout: np.ndarray):
-        """Returns (df, grads), grads keyed like ``named_params``. The context
-        is consumed: reusing it, or passing one from another layer, raises."""
+        """Returns (df, grads), grads keyed like ``named_params`` (empty
+        inside an enclosing ``summing_grads``). The context is consumed:
+        reusing it, or passing one from another layer, raises."""
         if ctx is None:
             raise RuntimeError("AbstractLayer.backward: no context (forward ran in eval mode?)")
         if ctx.owner is not self:
@@ -361,13 +423,11 @@ class AbstractLayer(Module):
         if ctx.used:
             raise RuntimeError("AbstractLayer.backward: context already consumed")
         ctx.used = True
-        df = np.zeros((dout.shape[0], self.in_dim))
-        unit_grads = []
-        for unit, uctx in zip(self.units, ctx.unit_ctxs):
-            dfu, ug = unit.backward(uctx, dout)
-            df += dfu
-            unit_grads.append(ug)
-        return df, self.named_grads({}, *unit_grads)
+        with self.summing_grads() as grads:
+            df = np.zeros((dout.shape[0], self.in_dim))
+            for unit, uctx in zip(self.units, ctx.unit_ctxs):
+                df += unit.backward(uctx, dout)[0]
+        return df, grads
 
     def children(self):
         return [(f"u{k}", unit) for k, unit in enumerate(self.units)]

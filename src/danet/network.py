@@ -108,19 +108,17 @@ class MlpHead(Module):
         return out, HeadCtx(z=z, a0=a0, r0=r0, a1=a1, r1=r1)
 
     def backward(self, ctx: HeadCtx, dout: np.ndarray):
-        dw2 = dout.T @ ctx.r1
-        db2 = dout.sum(axis=0)
-        dr1 = dout @ self.w2
-        da1 = dr1 * (ctx.a1 > 0.0)
-        dw1 = da1.T @ ctx.r0
-        db1 = da1.sum(axis=0)
-        dr0 = da1 @ self.w1
-        da0 = dr0 * (ctx.a0 > 0.0)
-        dw0 = da0.T @ ctx.z
-        db0 = da0.sum(axis=0)
-        dz = da0 @ self.w0
-        return dz, self.named_grads({"w0": dw0, "b0": db0, "w1": dw1, "b1": db1,
-                                     "w2": dw2, "b2": db2})
+        """Returns (dz, grads), grads empty inside an enclosing
+        ``summing_grads``."""
+        with self.summing_grads() as grads:
+            dr1 = dout @ self.w2
+            da1 = dr1 * (ctx.a1 > 0.0)
+            dr0 = da1 @ self.w1
+            da0 = dr0 * (ctx.a0 > 0.0)
+            self.add_grads(w0=da0.T @ ctx.z, b0=da0.sum(axis=0), w1=da1.T @ ctx.r0,
+                           b1=da1.sum(axis=0), w2=dout.T @ ctx.r1, b2=dout.sum(axis=0))
+            dz = da0 @ self.w0
+        return dz, grads
 
     def leaves(self):
         return [
@@ -179,12 +177,14 @@ class BasicBlock(Module):
         return out, BlockCtx(main1_ctx=c1, main2_ctx=c2, shortcut_ctx=cs, drop_mask=drop_mask)
 
     def backward(self, ctx: BlockCtx, dout: np.ndarray):
-        """Returns (df_prev, dx_raw, grads)."""
-        ds = dout if ctx.drop_mask is None else dout * ctx.drop_mask
-        dx_raw, sg = self.shortcut.backward(ctx.shortcut_ctx, ds)
-        dm1, g2 = self.main2.backward(ctx.main2_ctx, dout)
-        df_prev, g1 = self.main1.backward(ctx.main1_ctx, dm1)
-        return df_prev, dx_raw, self.named_grads({}, g1, g2, sg)
+        """Returns (df_prev, dx_raw, grads), grads empty inside an enclosing
+        ``summing_grads``."""
+        with self.summing_grads() as grads:
+            ds = dout if ctx.drop_mask is None else dout * ctx.drop_mask
+            dx_raw = self.shortcut.backward(ctx.shortcut_ctx, ds)[0]
+            dm1 = self.main2.backward(ctx.main2_ctx, dout)[0]
+            df_prev = self.main1.backward(ctx.main1_ctx, dm1)[0]
+        return df_prev, dx_raw, grads
 
 
 # rows per scoring call in ``predict``. A block's activations (1024 x 64
@@ -273,21 +273,23 @@ class DANet(Module):
 
     def backward(self, ctx: ModelCtx, dout: np.ndarray):
         """Returns (dx, grads). The raw-input gradient is the sum of every
-        shortcut path's contribution plus the first block's main path."""
+        shortcut path's contribution plus the first block's main path. A
+        whole-batch backward finishes its gradients before it returns; inside
+        a training step (``training.batch_gradients``) grads is empty and the
+        step finishes the gradients after its last ghost."""
         if ctx is None:
             raise RuntimeError("DANet.backward: no context (forward ran in eval mode?)")
         if ctx.used:
             raise RuntimeError("DANet.backward: context already consumed")
         ctx.used = True
-        df, head_grads = self.head.backward(ctx.head_ctx, dout)
-        dx = np.zeros_like(ctx.x)
-        block_grads = []
-        for block, bctx in zip(reversed(self.blocks), reversed(ctx.block_ctxs)):
-            df, dx_raw, bg = block.backward(bctx, df)
-            dx += dx_raw
-            block_grads.append(bg)
-        dx += df  # the first block's f_prev is the raw input itself
-        return dx, self.named_grads({}, *reversed(block_grads), head_grads)
+        with self.summing_grads() as grads:
+            df = self.head.backward(ctx.head_ctx, dout)[0]
+            dx = np.zeros_like(ctx.x)
+            for block, bctx in zip(reversed(self.blocks), reversed(ctx.block_ctxs)):
+                df, dx_raw, _ = block.backward(bctx, df)
+                dx += dx_raw
+            dx += df  # the first block's f_prev is the raw input itself
+        return dx, grads
 
     def scores(self, x) -> np.ndarray:
         """Eval-mode forward: logits (rows, num_classes) or scores (rows, 1)."""

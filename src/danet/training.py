@@ -142,7 +142,7 @@ class QhAdam:
             p -= lr * num / den
 
 
-def _ghost_step(model, x, targets, uniforms, scale: float):
+def _ghost_step(model, x, targets, uniforms, scale: float) -> float:
     # forward, loss and backward of one ghost; its context dies on return
     out, ctx = model.forward(x, train=True, uniforms=uniforms)
     if model.task == "class":
@@ -151,7 +151,8 @@ def _ghost_step(model, x, targets, uniforms, scale: float):
         loss, dout = mse(out[:, 0], targets)
         dout = dout[:, None]
     dout *= scale
-    return loss * scale, model.backward(ctx, dout)[1]
+    model.backward(ctx, dout)
+    return loss * scale
 
 
 def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Generator):
@@ -162,29 +163,26 @@ def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Ge
     and in the gradient sum, so the batch's dropout uniforms are drawn from
     ``rng`` first (in block order, as a whole-batch training forward draws
     them), then each ghost, the short tail one included, runs forward, loss
-    scaled by its share of the rows, and backward, and its gradients are
-    added up before the next ghost's forward. Inside ``Module.fixed_params``
-    each unit computes its mask and masked weights once for the step, and
-    each batch norm updates its running statistics once, from the ghost
-    statistics summed in ghost order. The result equals a whole-batch
-    ``forward(train=True)`` and ``backward`` up to the order of the gradient
-    sums, while only one ghost's activations are alive at a time.
+    scaled by its share of the rows, and backward, which adds its gradients
+    into each module's sums before the next ghost's forward. Inside
+    ``Module.fixed_params`` each unit computes its mask and masked weights
+    once for the step, and each batch norm updates its running statistics
+    once, from the ghost statistics summed in ghost order. Inside
+    ``Module.summing_grads`` the gradients are finished once, after the last
+    ghost: each unit masks its summed weight gradients and runs one entmax
+    backward. The result equals a whole-batch ``forward(train=True)`` and
+    ``backward`` up to the order of the sums, while only one ghost's
+    activations are alive at a time.
     """
     rows, ghost = x.shape[0], model.ghost_size
     uniforms = model.dropout_uniforms(rng, rows)
-    loss, grads = 0.0, None
-    with model.fixed_params():
+    loss = 0.0
+    with model.fixed_params(), model.summing_grads() as grads:
         for s in range(0, rows, ghost):
             rs = slice(s, s + ghost)
-            gl, gg = _ghost_step(model, x[rs], targets[rs],
-                                 [None if u is None else u[rs] for u in uniforms],
-                                 (min(rows, s + ghost) - s) / rows)
-            loss += gl
-            if grads is None:
-                grads = gg
-            else:
-                for name, g in gg.items():
-                    grads[name] += g
+            loss += _ghost_step(model, x[rs], targets[rs],
+                                [None if u is None else u[rs] for u in uniforms],
+                                (min(rows, s + ghost) - s) / rows)
     return loss, grads
 
 

@@ -5,10 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from danet import DANet, DANetConfig, entmax15, network
+from danet import DANet, DANetConfig, entmax15, network, training
 from danet.entmax import EntmaxResult, entmax15_backward
-from danet.layers import (AbstractUnit, BatchNormCtx, GhostBatchNorm, Module, relu,
-                          sigmoid)
+from danet.layers import AbstractUnit, GhostBatchNorm, Module, relu, sigmoid
 
 
 def finite_diff_grad(f, x, h=1e-5):
@@ -90,10 +89,23 @@ def flatten_grads(named, grads):
     return np.concatenate([grads[name].ravel() for name, _, _ in named])
 
 
+def rel_err(got, expect):
+    """Norm of the flattened difference over the norm of the flattened
+    reference; ``got`` and ``expect`` are arrays or equal-length sequences
+    of arrays, concatenated in order."""
+    def flat(a):
+        if isinstance(a, (list, tuple)):
+            return np.concatenate([np.ravel(v) for v in a])
+        return np.ravel(a)
+    g, e = flat(got), flat(expect)
+    assert g.shape == e.shape
+    return float(np.linalg.norm(g - e) / np.linalg.norm(e))
+
+
 def gated_value(unit, uctx):
-    """The unit's pre-ReLU value q * h2, with h2 rebuilt from bn2's xhat the
-    way the unit's backward rebuilds it."""
-    return uctx.q * (unit.bn2.gamma * uctx.bn2_ctx.xhat + unit.bn2.beta)
+    """The unit's pre-ReLU value q * h2, with h2 rebuilt by ``bn2.output``
+    as the unit's backward rebuilds it."""
+    return uctx.q * unit.bn2.output(uctx.bn2_ctx)
 
 
 def _unit_margins(unit, uctx):
@@ -176,11 +188,20 @@ def grad_check_model(model, x, h=1e-5, rel_tol=1e-4, abs_floor=1e-8):
     return bool(np.all(err <= bound)), named, worst, float(err[worst]), float(bound[worst])
 
 
-# -- the straight-line training step: the reference the fast paths must equal
-# bit for bit. Each batch norm takes numpy's mean and var of every ghost and
-# computes its backward as one expression; each unit masks its weights on
-# every forward and again in its backward; the per-step context pools the
-# batch-norm statistics only, and scoring enters no context.
+# -- the straight-line training step: the reference the fast step is held
+# to within a stated tolerance. Each batch norm takes numpy's mean and var of
+# every ghost, keeps xhat and computes its backward as one expression; each
+# unit masks its weights on every forward and again in its backward; every
+# ghost's backward builds each module's gradient dict, and the step adds the
+# ghosts' dicts up; the per-step context pools the batch-norm statistics
+# only, and scoring enters no context.
+
+@dataclass
+class RefBatchNormCtx:
+    bounds: list
+    xhat: np.ndarray
+    inv_std: list
+
 
 def ref_bn_forward(bn, x, train):
     if not train:
@@ -207,7 +228,7 @@ def ref_bn_forward(bn, x, train):
     sums[2] += len(bounds)
     if not deferred:
         bn.update_running(*sums)
-    return y, BatchNormCtx(bounds=bounds, xhat=xhat, inv_std=inv_stds)
+    return y, RefBatchNormCtx(bounds=bounds, xhat=xhat, inv_std=inv_stds)
 
 
 def ref_bn_backward(bn, ctx, dy):
@@ -226,8 +247,8 @@ def ref_bn_backward(bn, ctx, dy):
 class RefUnitCtx:
     f: np.ndarray
     mask: EntmaxResult
-    bn1_ctx: BatchNormCtx
-    bn2_ctx: BatchNormCtx
+    bn1_ctx: RefBatchNormCtx
+    bn2_ctx: RefBatchNormCtx
     q: np.ndarray
 
 
@@ -242,6 +263,13 @@ def ref_unit_forward(unit, f, train):
     return out, RefUnitCtx(f=f, mask=mask, bn1_ctx=bn1_ctx, bn2_ctx=bn2_ctx, q=q)
 
 
+def ref_named_grads(module, own, *child_grads):
+    grads = {name: own[name] for name, kind, _ in module.leaves() if kind != "buffer"}
+    for (name, _), sub in zip(module.children(), child_grads, strict=True):
+        grads.update((f"{name}.{key}", g) for key, g in sub.items())
+    return grads
+
+
 def ref_unit_backward(unit, ctx, dout):
     p, q = ctx.mask.probs, ctx.q
     h2 = unit.bn2.gamma * ctx.bn2_ctx.xhat + unit.bn2.beta
@@ -249,15 +277,82 @@ def ref_unit_backward(unit, ctx, dout):
     dq = dgated * h2
     dh2 = dgated * q
     dh1 = dq * q * (1.0 - q)
-    da1, dg1, db1 = unit.bn1.backward(ctx.bn1_ctx, dh1)
-    da2, dg2, db2 = unit.bn2.backward(ctx.bn2_ctx, dh2)
+    da1, dg1, db1 = ref_bn_backward(unit.bn1, ctx.bn1_ctx, dh1)
+    da2, dg2, db2 = ref_bn_backward(unit.bn2, ctx.bn2_ctx, dh2)
     g1 = da1.T @ ctx.f
     g2 = da2.T @ ctx.f
     df = da1 @ (unit.w1 * p) + da2 @ (unit.w2 * p)
     dmask = (g1 * unit.w1 + g2 * unit.w2).sum(axis=0)
     dlogits = entmax15_backward(ctx.mask, dmask)
-    return df, unit.named_grads({"mask": dlogits, "w1": g1 * p, "w2": g2 * p},
-                                {"gamma": dg1, "beta": db1}, {"gamma": dg2, "beta": db2})
+    return df, ref_named_grads(unit, {"mask": dlogits, "w1": g1 * p, "w2": g2 * p},
+                               {"gamma": dg1, "beta": db1}, {"gamma": dg2, "beta": db2})
+
+
+def ref_layer_backward(layer, ctx, dout):
+    df = np.zeros((dout.shape[0], layer.in_dim))
+    unit_grads = []
+    for unit, uctx in zip(layer.units, ctx.unit_ctxs):
+        dfu, ug = ref_unit_backward(unit, uctx, dout)
+        df += dfu
+        unit_grads.append(ug)
+    return df, ref_named_grads(layer, {}, *unit_grads)
+
+
+def ref_head_backward(head, ctx, dout):
+    dw2 = dout.T @ ctx.r1
+    db2 = dout.sum(axis=0)
+    dr1 = dout @ head.w2
+    da1 = dr1 * (ctx.a1 > 0.0)
+    dw1 = da1.T @ ctx.r0
+    db1 = da1.sum(axis=0)
+    dr0 = da1 @ head.w1
+    da0 = dr0 * (ctx.a0 > 0.0)
+    dw0 = da0.T @ ctx.z
+    db0 = da0.sum(axis=0)
+    dz = da0 @ head.w0
+    return dz, ref_named_grads(head, {"w0": dw0, "b0": db0, "w1": dw1, "b1": db1,
+                                      "w2": dw2, "b2": db2})
+
+
+def ref_model_backward(model, ctx, dout):
+    df, head_grads = ref_head_backward(model.head, ctx.head_ctx, dout)
+    dx = np.zeros_like(ctx.x)
+    block_grads = []
+    for block, bctx in zip(reversed(model.blocks), reversed(ctx.block_ctxs)):
+        ds = df if bctx.drop_mask is None else df * bctx.drop_mask
+        dx_raw, sg = ref_layer_backward(block.shortcut, bctx.shortcut_ctx, ds)
+        dm1, g2 = ref_layer_backward(block.main2, bctx.main2_ctx, df)
+        df, g1 = ref_layer_backward(block.main1, bctx.main1_ctx, dm1)
+        dx += dx_raw
+        block_grads.append(ref_named_grads(block, {}, g1, g2, sg))
+    dx += df
+    return dx, ref_named_grads(model, {}, *reversed(block_grads), head_grads)
+
+
+def ref_batch_gradients(model, x, targets, rng):
+    rows, ghost = x.shape[0], model.ghost_size
+    uniforms = model.dropout_uniforms(rng, rows)
+    loss, grads = 0.0, None
+    with model.fixed_params():
+        for s in range(0, rows, ghost):
+            rs = slice(s, s + ghost)
+            out, ctx = model.forward(x[rs], train=True,
+                                     uniforms=[None if u is None else u[rs] for u in uniforms])
+            if model.task == "class":
+                gl, dout = training.cross_entropy(out, targets[rs])
+            else:
+                gl, dout = training.mse(out[:, 0], targets[rs])
+                dout = dout[:, None]
+            scale = (min(rows, s + ghost) - s) / rows
+            dout *= scale
+            loss += gl * scale
+            gg = ref_model_backward(model, ctx, dout)[1]
+            if grads is None:
+                grads = gg
+            else:
+                for name, g in gg.items():
+                    grads[name] += g
+    return loss, grads
 
 
 @contextmanager
@@ -285,10 +380,13 @@ def ref_predict(model, x):
 
 
 def use_reference_step(monkeypatch):
-    """Swap the straight-line reference in for the fast training step."""
+    """Swap the straight-line reference in for the fast training step
+    (``training.batch_gradients``, which ``fit`` calls) and for scoring."""
     monkeypatch.setattr(GhostBatchNorm, "forward", ref_bn_forward)
     monkeypatch.setattr(GhostBatchNorm, "backward", ref_bn_backward)
     monkeypatch.setattr(AbstractUnit, "forward", ref_unit_forward)
     monkeypatch.setattr(AbstractUnit, "backward", ref_unit_backward)
+    monkeypatch.setattr(DANet, "backward", ref_model_backward)
+    monkeypatch.setattr(training, "batch_gradients", ref_batch_gradients)
     monkeypatch.setattr(Module, "fixed_params", ref_fixed_params)
     monkeypatch.setattr(DANet, "predict", ref_predict)

@@ -2,7 +2,10 @@
 compress cycle, reports, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -363,6 +366,29 @@ def test_inspect_takes_only_a_model(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["inspect", "--help"])
     assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--model"}
+
+
+def test_inspect_into_a_closed_pipe_exits_quietly(tmp_path):
+    # a reader that stops after one line, as `danet inspect ... | head -1`
+    # does; the report is far longer than a pipe holds, so the writer meets
+    # the closed pipe for certain
+    n = 1000
+    model = DANet(n, DANetConfig(depth=2, k0=4, d0=2, d1=2), seed=1)
+    path = tmp_path / "wide.danet"
+    save_model(path, model, feature_names=[f"feature_{j:04d}" for j in range(n)],
+               feature_kinds=["continuous"] * n, target_name="y")
+    env = dict(os.environ)
+    src = str(Path(danet.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "danet.cli", "inspect", "--model", str(path)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(f"block0.main1.u0 support={n}/{n} feature_0000=".encode())
+    assert code == 1 and err == b""
 
 
 def test_train_requires_data_schema_out(capsys):

@@ -8,8 +8,9 @@ import pytest
 
 from danet import (AbstractLayer, AbstractUnit, GhostBatchNorm, Rng, ShapeError,
                    entmax15, sigmoid)
+from danet.layers import relu
 from helpers import (entmax_margin, finite_diff_grad, gated_value, ref_bn_backward,
-                     ref_bn_forward)
+                     ref_bn_forward, rel_err)
 
 
 def bn_train_oracle(x, gamma, beta, ghost, eps):
@@ -52,6 +53,9 @@ def test_bn_ghost_chunking_and_running_stats():
 
 @pytest.mark.parametrize("ghost", [64, 8])  # one ghost; ghosts of 8 and a tail of 5
 def test_bn_train_forward_and_backward_are_bitwise_the_reference(ghost):
+    # within 1e-12 of the straight-line reference: the output, the kept
+    # normalized input and the running statistics relative to their norms,
+    # the three gradients as one flattened vector
     rng = Rng(2)
     fast = GhostBatchNorm(6, ghost_size=ghost)
     fast.gamma[:] = rng.uniform(0.5, 1.5, 6)
@@ -61,15 +65,16 @@ def test_bn_train_forward_and_backward_are_bitwise_the_reference(ghost):
     dy = rng.standard_normal((37, 6))
     y, ctx = fast.forward(x, train=True)
     ry, rctx = ref_bn_forward(slow, x, True)
-    assert y.tobytes() == ry.tobytes()
     assert ctx.bounds == rctx.bounds
-    assert ctx.xhat.tobytes() == rctx.xhat.tobytes()
-    assert [v.tobytes() for v in ctx.inv_std] == [v.tobytes() for v in rctx.inv_std]
-    assert fast.running_mean.tobytes() == slow.running_mean.tobytes()
-    assert fast.running_var.tobytes() == slow.running_var.tobytes()
+    assert rel_err(y, ry) <= 1e-12
+    xhat = np.concatenate([ctx.xc[s:e] * inv for (s, e), inv in zip(ctx.bounds, ctx.inv)])
+    assert rel_err(xhat, rctx.xhat) <= 1e-12
+    assert rel_err(fast.running_mean, slow.running_mean) <= 1e-12
+    assert rel_err(fast.running_var, slow.running_var) <= 1e-12
     assert fast.updates == slow.updates == 1
     got, expect = fast.backward(ctx, dy), ref_bn_backward(slow, rctx, dy)
-    assert [g.tobytes() for g in got] == [g.tobytes() for g in expect]
+    assert rel_err(got, expect) <= 1e-12
+    assert fast.output(ctx).tobytes() == y.tobytes()  # the rebuild the unit's backward uses
 
 
 def test_bn_constant_column_trains_to_beta():
@@ -253,6 +258,20 @@ def _stable_layer_case(seed):
         if np.abs(gated_value(unit, uctx)).min() < 1e-3:
             return None
     return layer, f
+
+
+def test_gated_value_rebuilds_the_training_output_bitwise():
+    # gate 1's stability screen reads gated_value; it must rebuild exactly
+    # the value the unit's ReLU saw, ghost by ghost (8, 8 and a tail of 5)
+    rng = Rng(21)
+    unit = AbstractUnit(5, 4, ghost_size=8, rng=rng)
+    unit.mask_logits[:] = rng.standard_normal(5)
+    for bn in (unit.bn1, unit.bn2):
+        bn.gamma[:] = rng.uniform(0.5, 1.5, 4)
+        bn.beta[:] = 0.5 * rng.standard_normal(4)
+    out, ctx = unit.forward(3.0 * rng.standard_normal((21, 5)), train=True)
+    assert (out == 0.0).any() and (out > 0.0).any()
+    assert relu(gated_value(unit, ctx)).tobytes() == out.tobytes()
 
 
 def test_layer_backward_matches_finite_differences():
