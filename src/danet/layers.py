@@ -15,6 +15,13 @@ Three pieces live here:
 Forward passes in training mode return a context object holding exactly the
 intermediates the matching backward pass needs. A context is single-use and
 tied to the layer that produced it.
+
+In training mode a unit does not run its batch norms as layers: within one
+ghost a training-mode batch norm is an affine map too, whose statistics
+follow from the ghost's input moments, so the unit folds both into its
+masked weights ghost by ghost (``AbstractUnit.forward``), as ``reparam``
+folds eval-mode ones. ``GhostBatchNorm`` stays the standalone layer and
+keeps the running statistics for both.
 """
 
 from __future__ import annotations
@@ -28,10 +35,14 @@ import numpy as np
 from .entmax import EntmaxResult, ShapeError, entmax15, entmax15_backward
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # tanh form: stable for large |x| without branching on sign. The same
-    # bits as 0.5 * (1.0 + np.tanh(0.5 * x)), computed in one array
-    t = np.asarray(0.5 * x)  # a 0-d array for a scalar, so tanh can write in place
+    # bits as 0.5 * (1.0 + np.tanh(0.5 * x)), computed in one array: ``out``
+    # (which may be x) or else a new one
+    if out is None:
+        t = np.asarray(0.5 * x)  # a 0-d array for a scalar, so tanh can write in place
+    else:
+        t = np.multiply(x, 0.5, out=out)
     np.tanh(t, out=t)
     t += 1.0
     t *= 0.5
@@ -157,6 +168,23 @@ class Module:
                 unit.mask_cache = None
 
 
+def centre_ghosts(x: np.ndarray, ghost_size: int):
+    """(bounds, xc, means) of a training-mode input: each ghost's (start,
+    stop) rows (the last ghost may be shorter), x minus its ghost's column
+    means, and those means, one (cols,) array per ghost."""
+    rows = x.shape[0]
+    if rows < 1:
+        raise ValueError("ghost batch norm: empty batch in training mode")
+    bounds = [(s, min(s + ghost_size, rows)) for s in range(0, rows, ghost_size)]
+    xc = np.empty_like(x)
+    means = []
+    for s, e in bounds:
+        mu = x[s:e].sum(axis=0) / (e - s)
+        np.subtract(x[s:e], mu, out=xc[s:e])
+        means.append(mu)
+    return bounds, xc, means
+
+
 @dataclass
 class BatchNormCtx:
     bounds: list  # (start, stop) row ranges, one per ghost
@@ -172,6 +200,8 @@ class GhostBatchNorm(Module):
     statistics are an exponential moving average of the per-ghost statistics
     averaged over ghosts, one step per training forward (or per
     ``Module.fixed_params`` statement), and are the ones used in eval mode.
+    An abstraction unit folds its two batch norms into its weights instead
+    of running this forward, and hands its ghost statistics to ``record``.
     """
 
     momentum = 0.01  # weight of the newest ghost-averaged statistics
@@ -198,29 +228,31 @@ class GhostBatchNorm(Module):
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             return (x - self.running_mean) * (self.gamma * inv) + self.beta, None
 
-        rows = x.shape[0]
-        if rows < 1:
-            raise ValueError("GhostBatchNorm: empty batch in training mode")
-        bounds = [(s, min(s + self.ghost_size, rows)) for s in range(0, rows, self.ghost_size)]
-        xc = np.empty_like(x)
-        invs = []
-        deferred = self.pending is not None
-        sums = self.pending if deferred else [0.0, 0.0, 0]
-        for s, e in bounds:
-            # column sums in one pass each: the mean, then the biased
-            # variance from the centred ghost
-            n = e - s
-            mu = x[s:e].sum(axis=0) / n
-            c = np.subtract(x[s:e], mu, out=xc[s:e])
-            var = np.einsum("ij,ij->j", c, c) / n
+        bounds, xc, means = centre_ghosts(x, self.ghost_size)
+        invs, stats = [], []
+        for (s, e), mu in zip(bounds, means):
+            # the biased variance as one-pass column sums of the centred ghost
+            c = xc[s:e]
+            var = np.einsum("ij,ij->j", c, c) / (e - s)
             invs.append(1.0 / np.sqrt(var + self.eps))
-            sums[0] += mu
-            sums[1] += var
-        sums[2] += len(bounds)
-        if not deferred:
-            self.update_running(*sums)
+            stats.append((mu, var))
+        self.record(stats)
         ctx = BatchNormCtx(bounds=bounds, xc=xc, inv=invs)
         return self.output(ctx), ctx
+
+    def record(self, stats: list):
+        """Takes one training forward's ghost statistics, (mean, biased
+        variance) pairs in ghost order: inside ``Module.fixed_params`` they
+        are added to the step's sums, elsewhere the running statistics move
+        by them at once."""
+        deferred = self.pending is not None
+        sums = self.pending if deferred else [0.0, 0.0, 0]
+        for mu, var in stats:
+            sums[0] += mu
+            sums[1] += var
+        sums[2] += len(stats)
+        if not deferred:
+            self.update_running(*sums)
 
     def output(self, ctx: BatchNormCtx) -> np.ndarray:
         """The training-mode output of the forward that made ``ctx``, bit for
@@ -269,14 +301,29 @@ class GhostBatchNorm(Module):
 
 
 @dataclass
+class GhostMoments:
+    """A training-mode layer input's ghost moments, made once for all the
+    layer's units (``AbstractUnit.forward_sum``)."""
+
+    bounds: list  # (start, stop) row ranges, one per ghost
+    fc: np.ndarray  # the input minus its ghost's column means
+    means: list  # per-ghost column means, each (in_dim,)
+    scatter: list  # per-ghost fc^T fc, each (in_dim, in_dim)
+
+    @classmethod
+    def of(cls, f: np.ndarray, ghost_size: int) -> GhostMoments:
+        bounds, fc, means = centre_ghosts(f, ghost_size)
+        return cls(bounds=bounds, fc=fc, means=means,
+                   scatter=[fc[s:e].T @ fc[s:e] for s, e in bounds])
+
+
+@dataclass
 class UnitCtx:
-    f: np.ndarray
     mask: EntmaxResult
-    w1p: np.ndarray  # w1 * mask.probs
-    w2p: np.ndarray  # w2 * mask.probs
-    bn1_ctx: BatchNormCtx
-    bn2_ctx: BatchNormCtx
-    q: np.ndarray
+    w: np.ndarray  # [w1 * p; w2 * p], (2 * out_dim, in_dim)
+    moments: GhostMoments  # the layer input's, shared with the layer's other units
+    qh: np.ndarray  # (2, rows, out_dim): the gate q and the gated value h2
+    ghosts: list  # per ghost (inv, a, w S, a w), a = gamma * inv
 
 
 class AbstractUnit(Module):
@@ -304,73 +351,145 @@ class AbstractUnit(Module):
         self.bn2 = GhostBatchNorm(out_dim, ghost_size)
 
     def masked(self):
-        """(mask, w1 * p, w2 * p) with mask = entmax15(mask_logits) and p its
+        """(mask, [w1; w2] * p) with mask = entmax15(mask_logits) and p its
         probabilities, computed from the current logits and weights; inside
-        ``Module.fixed_params`` the first call's triple is kept and returned
+        ``Module.fixed_params`` the first call's pair is kept and returned
         again."""
         if self.mask_cache:
             return self.mask_cache
         mask = entmax15(self.mask_logits)
-        triple = mask, self.w1 * mask.probs, self.w2 * mask.probs
+        pair = mask, np.concatenate((self.w1, self.w2)) * mask.probs
         if self.mask_cache is not None:
-            self.mask_cache = triple
-        return triple
+            self.mask_cache = pair
+        return pair
 
-    def forward(self, f: np.ndarray, train: bool):
-        """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), p the
-        learned sparse mask shared by every row; ReLU on the product. The
-        context keeps f, the mask and masked weights, both batch norms'
-        contexts and q; the backward rebuilds h2 with ``bn2.output``."""
+    def forward(self, f: np.ndarray, train: bool, moments: GhostMoments | None = None):
+        """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), W = [w1; w2]
+        * p the weights under the learned sparse mask p shared by every row;
+        ReLU on the product.
+
+        Training mode folds both batch norms into W ghost by ghost. Within a
+        ghost of n rows a training-mode batch norm is an affine map whose
+        statistics follow from the input's moments (``moments``, which a
+        layer makes once for all its units): the mean W mu and the variance
+        rowsum((W S) * W) / n, S = fc^T fc. With inv = 1 / sqrt(var + eps)
+        and a = gamma * inv the pre-activations h1 and h2 are
+        fc (a W)^T + beta, kept as the two halves of one array."""
         if f.ndim != 2 or f.shape[1] != self.in_dim:
             raise ShapeError(f"AbstractUnit: expected (rows, {self.in_dim}), got {f.shape}")
-        mask, w1p, w2p = self.masked()
-        h1, bn1_ctx = self.bn1.forward(f @ w1p.T, train)
-        q = sigmoid(h1)
-        h2, bn2_ctx = self.bn2.forward(f @ w2p.T, train)
-        out = np.multiply(q, h2, out=h2)  # no context keeps h2
-        np.maximum(out, 0.0, out=out)
+        mask, w = self.masked()
+        d = self.out_dim
         if not train:
+            h1, _ = self.bn1.forward(f @ w[:d].T, False)
+            q = sigmoid(h1)
+            h2, _ = self.bn2.forward(f @ w[d:].T, False)
+            out = np.multiply(q, h2, out=h2)
+            np.maximum(out, 0.0, out=out)
             return out, None
-        return out, UnitCtx(f=f, mask=mask, w1p=w1p, w2p=w2p, bn1_ctx=bn1_ctx,
-                            bn2_ctx=bn2_ctx, q=q)
+
+        if moments is None:
+            moments = GhostMoments.of(f, self.bn1.ghost_size)
+        gamma = np.concatenate((self.bn1.gamma, self.bn2.gamma))
+        beta = np.stack((self.bn1.beta, self.bn2.beta))[:, None, :]
+        qh = np.empty((2, f.shape[0], d))
+        ghosts, stats = [], []
+        for (s, e), mu, scatter in zip(moments.bounds, moments.means, moments.scatter):
+            ws = w @ scatter
+            var = np.einsum("ij,ij->i", ws, w) / (e - s)
+            inv = 1.0 / np.sqrt(var + GhostBatchNorm.eps)
+            a = gamma * inv
+            aw = a[:, None] * w
+            h = np.matmul(moments.fc[s:e], aw.reshape(2, d, -1).transpose(0, 2, 1),
+                          out=qh[:, s:e])
+            h += beta
+            ghosts.append((inv, a, ws, aw))
+            stats.append((w @ mu, var))
+        self.bn1.record([(mean[:d], var[:d]) for mean, var in stats])
+        self.bn2.record([(mean[d:], var[d:]) for mean, var in stats])
+        q = sigmoid(qh[0], out=qh[0])
+        out = q * qh[1]
+        np.maximum(out, 0.0, out=out)
+        return out, UnitCtx(mask=mask, w=w, moments=moments, qh=qh, ghosts=ghosts)
 
     @staticmethod
     def forward_sum(units, f: np.ndarray, train: bool):
         """(sum of the units' outputs on f, their contexts): how a layer runs
-        its units. A folded unit class (``reparam.CompressedUnit``) has its
-        own, which prepares f once for all of them."""
-        total, ctx = units[0].forward(f, train)
+        its units. In training mode f is centred once per ghost for all of
+        them (``GhostMoments``), as a folded unit class
+        (``reparam.CompressedUnit``) prepares its input once."""
+        moments = GhostMoments.of(f, units[0].bn1.ghost_size) if train else None
+        total, ctx = units[0].forward(f, train, moments)
         ctxs = [ctx]
         for unit in units[1:]:
-            out, ctx = unit.forward(f, train)
+            out, ctx = unit.forward(f, train, moments)
             total += out  # into the first unit's output, which no context keeps
             ctxs.append(ctx)
         return total, ctxs
 
     def backward(self, ctx: UnitCtx, dout: np.ndarray):
-        """Returns (df, grads), grads keyed like ``named_params`` (empty inside
-        an enclosing ``summing_grads``). Adds the raw weight gradients
-        da^T f and both batch norms' gradients into the sums; the mask is
-        applied when they are finished (``finished_grads``)."""
+        """Returns (df, grads), grads keyed like ``named_params`` (empty
+        inside an enclosing ``summing_grads``), as a layer of one unit
+        (``backward_sum``)."""
         with self.summing_grads() as grads:
-            q = ctx.q
-            h2 = self.bn2.output(ctx.bn2_ctx)
-            dgated = np.multiply(q, h2)
-            np.greater(dgated, 0.0, out=dgated)  # the ReLU's gate, as 1.0 or 0.0
-            dgated *= dout
-            dh1 = np.multiply(h2, dgated, out=h2)  # dq, taken through the sigmoid below
-            dh2 = np.multiply(dgated, q, out=dgated)
-            dh1 *= q
-            dh1 *= 1.0 - q
-            da1, dg1, db1 = self.bn1.backward(ctx.bn1_ctx, dh1)
-            da2, dg2, db2 = self.bn2.backward(ctx.bn2_ctx, dh2)
-            self.grad_sums["entmax"] = ctx.mask  # the mask finished_grads applies
-            self.add_grads(w1=da1.T @ ctx.f, w2=da2.T @ ctx.f)
-            self.bn1.add_grads(gamma=dg1, beta=db1)
-            self.bn2.add_grads(gamma=dg2, beta=db2)
-            df = da1 @ ctx.w1p
-            df += da2 @ ctx.w2p
+            df = self.backward_sum([self], [ctx], dout)
         return df, grads
+
+    @staticmethod
+    def backward_sum(units, ctxs, dout: np.ndarray) -> np.ndarray:
+        """The input gradient of the sum of the units' outputs, from the
+        contexts of their ``forward_sum``; each unit adds its gradients into
+        the open sums. Per ghost the gradient is the units' summed
+        D (a W) - (a db / n) W terms minus one fc @ sum(W^T c W)."""
+        moments = ctxs[0].moments
+        df = np.zeros_like(moments.fc)
+        terms = [[0.0, 0.0] for _ in moments.bounds]
+        for unit, ctx in zip(units, ctxs):
+            unit.add_backward(ctx, dout, df, terms)
+        for (s, e), (shift, m) in zip(moments.bounds, terms):
+            d = df[s:e]
+            d -= shift
+            d -= moments.fc[s:e] @ m
+        return df
+
+    def add_backward(self, ctx: UnitCtx, dout: np.ndarray, df: np.ndarray, terms: list):
+        """The unit's share of ``backward_sum``. From the gate chain's
+        D = [dh1 | dh2], per ghost of n rows: db = sum(D),
+        Pc = D^T fc, sxc = rowsum(Pc * W) (dgamma is sxc * inv) and
+        c = a * inv**2 * sxc / n. The raw weight gradient is
+        a Pc - c (W S); D (a W) goes into df, and (a db / n) W and W^T c W
+        into the ghost's terms. The mask is applied to the weight gradients
+        when they are finished (``finished_grads``)."""
+        d = self.out_dim
+        qh, w, moments = ctx.qh, ctx.w, ctx.moments
+        q, h2 = qh
+        dh = np.empty_like(qh)
+        dh1, dh2 = dh
+        np.multiply(q, h2, out=dh2)
+        np.greater(dh2, 0.0, out=dh2)  # the ReLU's gate, as 1.0 or 0.0
+        dh2 *= dout
+        np.multiply(h2, dh2, out=dh1)  # dq, taken through the sigmoid below
+        dh1 *= q
+        dh1 *= 1.0 - q
+        dh2 *= q
+        self.grad_sums["entmax"] = ctx.mask  # the mask finished_grads applies
+        for (s, e), (inv, a, ws, aw), term in zip(moments.bounds, ctx.ghosts, terms):
+            n = e - s
+            g = dh[:, s:e]
+            db = g.sum(axis=1).reshape(-1)
+            dw = np.matmul(g.transpose(0, 2, 1), moments.fc[s:e]).reshape(2 * d, -1)
+            sxc = np.einsum("ij,ij->i", dw, w)
+            c = a * inv * inv * sxc / n
+            dw *= a[:, None]
+            dw -= c[:, None] * ws
+            dfs = df[s:e]
+            dfs += g[0] @ aw[:d]
+            dfs += g[1] @ aw[d:]
+            term[0] += (a * db / n) @ w
+            term[1] += w.T @ (c[:, None] * w)
+            dgamma = sxc * inv
+            self.add_grads(w1=dw[:d], w2=dw[d:])
+            self.bn1.add_grads(gamma=dgamma[:d], beta=db[:d])
+            self.bn2.add_grads(gamma=dgamma[d:], beta=db[d:])
 
     def finished_grads(self) -> dict:
         """The masked weight gradients G * p from the summed raw ones G, and
@@ -424,9 +543,7 @@ class AbstractLayer(Module):
             raise RuntimeError("AbstractLayer.backward: context already consumed")
         ctx.used = True
         with self.summing_grads() as grads:
-            df = np.zeros((dout.shape[0], self.in_dim))
-            for unit, uctx in zip(self.units, ctx.unit_ctxs):
-                df += unit.backward(uctx, dout)[0]
+            df = self.units[0].backward_sum(self.units, ctx.unit_ctxs, dout)
         return df, grads
 
     def children(self):

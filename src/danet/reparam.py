@@ -119,9 +119,10 @@ def compress_unit(unit: AbstractUnit) -> CompressedUnit:
                 f"compress_unit: {label} running statistics are unpopulated; "
                 "train at least one step or load trained statistics first"
             )
-    _, w1p, w2p = unit.masked()  # exact mask zeros give exactly-zero columns
-    return CompressedUnit(a1=np.column_stack(fold_bn(w1p, unit.bn1)),
-                          a2=np.column_stack(fold_bn(w2p, unit.bn2)))
+    _, w = unit.masked()  # exact mask zeros give exactly-zero columns
+    d = unit.out_dim
+    return CompressedUnit(a1=np.column_stack(fold_bn(w[:d], unit.bn1)),
+                          a2=np.column_stack(fold_bn(w[d:], unit.bn2)))
 
 
 def _fold_units(model: DANet, fold) -> DANet:

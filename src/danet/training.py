@@ -18,6 +18,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .reparam import compress_model
+
 
 class TrainingError(RuntimeError):
     """Training aborted (non-finite loss or invalid setup)."""
@@ -211,7 +213,9 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
     Each epoch reshuffles with the seeded stream (the final short batch is
     kept), computes each batch's gradients ghost by ghost
     (``batch_gradients``), steps the optimizer at the epoch's decayed rate,
-    then scores the validation set in eval mode. The parameters (and
+    then scores the validation set with the model's folded twin
+    (``compress_model``, equal to the eval-mode model within rounding; every
+    batch norm has its statistics after the first step). The parameters (and
     batch-norm statistics) of the best validation epoch are restored before
     returning. Stops early after ``patience`` epochs without improvement.
     """
@@ -248,7 +252,7 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
             loss_sum += loss * len(idx)
             opt.step(grads, lr)
         train_loss = loss_sum / n
-        valid_metric = evaluate(model, valid_set)
+        valid_metric = evaluate(compress_model(model), valid_set)
         history.append((epoch, lr, train_loss, valid_metric))
         improved = (valid_metric > best_metric) if task == "class" else (valid_metric < best_metric)
         if improved:

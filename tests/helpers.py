@@ -102,10 +102,11 @@ def rel_err(got, expect):
     return float(np.linalg.norm(g - e) / np.linalg.norm(e))
 
 
-def gated_value(unit, uctx):
-    """The unit's pre-ReLU value q * h2, with h2 rebuilt by ``bn2.output``
-    as the unit's backward rebuilds it."""
-    return uctx.q * unit.bn2.output(uctx.bn2_ctx)
+def gated_value(uctx):
+    """The unit's pre-ReLU value q * h2, from the gate q and the value h2
+    that the context keeps for the unit's backward."""
+    q, h2 = uctx.qh
+    return q * h2
 
 
 def _unit_margins(unit, uctx):
@@ -116,7 +117,7 @@ def _unit_margins(unit, uctx):
     m = float(on.min()) if on.size else np.inf
     if off.size:
         m = min(m, float(off.min()))
-    return min(m, float(np.abs(gated_value(unit, uctx)).min()))
+    return min(m, float(np.abs(gated_value(uctx)).min()))
 
 
 def model_is_stable(model, x, margin=1e-3):
@@ -263,6 +264,15 @@ def ref_unit_forward(unit, f, train):
     return out, RefUnitCtx(f=f, mask=mask, bn1_ctx=bn1_ctx, bn2_ctx=bn2_ctx, q=q)
 
 
+def ref_forward_sum(units, f, train):
+    total, ctxs = 0.0, []
+    for unit in units:
+        out, ctx = ref_unit_forward(unit, f, train)
+        total = total + out
+        ctxs.append(ctx)
+    return total, ctxs
+
+
 def ref_named_grads(module, own, *child_grads):
     grads = {name: own[name] for name, kind, _ in module.leaves() if kind != "buffer"}
     for (name, _), sub in zip(module.children(), child_grads, strict=True):
@@ -381,10 +391,13 @@ def ref_predict(model, x):
 
 def use_reference_step(monkeypatch):
     """Swap the straight-line reference in for the fast training step
-    (``training.batch_gradients``, which ``fit`` calls) and for scoring."""
+    (``training.batch_gradients``, which ``fit`` calls) and for scoring:
+    ``fit`` validates the live model, not its folded twin."""
     monkeypatch.setattr(GhostBatchNorm, "forward", ref_bn_forward)
     monkeypatch.setattr(GhostBatchNorm, "backward", ref_bn_backward)
     monkeypatch.setattr(AbstractUnit, "forward", ref_unit_forward)
+    monkeypatch.setattr(AbstractUnit, "forward_sum", staticmethod(ref_forward_sum))
+    monkeypatch.setattr(training, "compress_model", lambda model: model)
     monkeypatch.setattr(AbstractUnit, "backward", ref_unit_backward)
     monkeypatch.setattr(DANet, "backward", ref_model_backward)
     monkeypatch.setattr(training, "batch_gradients", ref_batch_gradients)

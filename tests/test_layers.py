@@ -10,7 +10,7 @@ from danet import (AbstractLayer, AbstractUnit, GhostBatchNorm, Rng, ShapeError,
                    entmax15, sigmoid)
 from danet.layers import relu
 from helpers import (entmax_margin, finite_diff_grad, gated_value, ref_bn_backward,
-                     ref_bn_forward, rel_err)
+                     ref_bn_forward, ref_layer_backward, rel_err, use_reference_step)
 
 
 def bn_train_oracle(x, gamma, beta, ghost, eps):
@@ -255,7 +255,7 @@ def _stable_layer_case(seed):
     for unit, uctx in zip(layer.units, ctx.unit_ctxs):
         if entmax_margin(unit.mask_logits) < 1e-3:
             return None
-        if np.abs(gated_value(unit, uctx)).min() < 1e-3:
+        if np.abs(gated_value(uctx)).min() < 1e-3:
             return None
     return layer, f
 
@@ -271,7 +271,128 @@ def test_gated_value_rebuilds_the_training_output_bitwise():
         bn.beta[:] = 0.5 * rng.standard_normal(4)
     out, ctx = unit.forward(3.0 * rng.standard_normal((21, 5)), train=True)
     assert (out == 0.0).any() and (out > 0.0).any()
-    assert relu(gated_value(unit, ctx)).tobytes() == out.tobytes()
+    assert relu(gated_value(ctx)).tobytes() == out.tobytes()
+
+
+def _moment_layer(rng, in_dim=6, out_dim=4, branches=3, ghost=8, mask_scale=2.0):
+    layer = AbstractLayer(in_dim, out_dim, branches=branches, ghost_size=ghost, rng=rng)
+    for unit in layer.units:
+        unit.mask_logits[:] = mask_scale * rng.standard_normal(in_dim)
+        for bn in (unit.bn1, unit.bn2):
+            bn.gamma[:] = rng.uniform(0.5, 1.5, out_dim)
+            bn.beta[:] = 0.5 * rng.standard_normal(out_dim)
+    return layer
+
+
+def _fast_pass(layer, f, dout):
+    # the moment-folded training forward and backward
+    out, ctx = layer.forward(f, train=True)
+    df, grads = layer.backward(ctx, dout)
+    return out, df, grads, layer.named_buffers()
+
+
+def _reference_pass(layer, f, dout, monkeypatch):
+    # the straight-line units: numpy's ghost mean and var, xhat, the
+    # one-expression batch norm backward
+    use_reference_step(monkeypatch)
+    try:
+        out, ctx = layer.forward(f, train=True)
+        df, grads = ref_layer_backward(layer, ctx, dout)
+    finally:
+        monkeypatch.undo()
+    return out, df, grads, layer.named_buffers()
+
+
+def _assert_close(fast, ref, names, buffers=("running_mean", "running_var")):
+    # within 1e-12 relative: the output, the input gradient, the parameter
+    # gradients as one flattened vector (named and ordered as named_params),
+    # each running statistic of the kinds in ``buffers``
+    (out, df, grads, bufs), (rout, rdf, rgrads, rbufs) = fast, ref
+    assert list(grads) == names
+    assert rel_err(out, rout) <= 1e-12
+    assert rel_err(df, rdf) <= 1e-12
+    assert rel_err([grads[n] for n in names], [rgrads[n] for n in names]) <= 1e-12
+    for (name, a), (_, b) in zip(bufs, rbufs):
+        if name.endswith(buffers):
+            assert rel_err(a, b) <= 1e-12, name
+
+
+def _assert_layer_is_the_reference(layer, f, monkeypatch):
+    dout = Rng(0).standard_normal((f.shape[0], layer.out_dim))
+    slow = copy.deepcopy(layer)
+    fast = _fast_pass(layer, f, dout)
+    _assert_close(fast, _reference_pass(slow, f, dout, monkeypatch),
+                  [n for n, _, _ in layer.named_params()])
+    assert [bn.updates for _, bn in layer.named_bns()] == [1] * 2 * len(layer.units)
+    assert [bn.updates for _, bn in slow.named_bns()] == [1] * 2 * len(layer.units)
+    return fast
+
+
+def test_moment_path_with_a_one_row_tail_ghost(monkeypatch):
+    # 17 rows at ghost 8: the tail ghost's row is its own mean, so its
+    # centred input and scatter are zero and its output is beta
+    rng = Rng(30)
+    layer = _moment_layer(rng)
+    f = rng.standard_normal((17, 6))
+    _assert_layer_is_the_reference(layer, f, monkeypatch)
+    unit = layer.units[0]
+    _, ctx = unit.forward(f, train=True)
+    assert not ctx.moments.fc[16].any() and not ctx.moments.scatter[2].any()
+    q, h2 = ctx.qh
+    assert np.array_equal(h2[16], unit.bn2.beta)
+    assert np.array_equal(q[16], sigmoid(unit.bn1.beta))
+
+
+def test_moment_path_with_a_column_constant_within_a_ghost(monkeypatch):
+    # column 2 is constant in every ghost; one unit keeps only that column,
+    # so its batch norms see zero variance and sit at the eps floor
+    rng = Rng(31)
+    layer = _moment_layer(rng)
+    f = rng.standard_normal((16, 6))
+    f[:8, 2], f[8:, 2] = 1.5, -0.25
+    solo = layer.units[1]
+    solo.mask_logits[:] = -10.0
+    solo.mask_logits[2] = 10.0
+    _assert_layer_is_the_reference(layer, f, monkeypatch)
+    _, ctx = solo.forward(f, train=True)
+    assert all(not s[2].any() and not s[:, 2].any() for s in ctx.moments.scatter)
+    for inv in (inv for inv, _, _, _ in ctx.ghosts):
+        assert np.array_equal(inv, np.full(8, 1.0 / np.sqrt(GhostBatchNorm.eps)))
+
+
+def test_moment_path_with_a_large_common_offset(monkeypatch):
+    # raw features 1e3 + N(0, 1). A common offset cancels in every ghost's
+    # batch norm, so the output, the gradients and the running variance are
+    # those of the input minus 1e3 (an exact subtraction here); the running
+    # mean alone keeps the offset. The straight-line reference run on the
+    # offset input itself is no yardstick for the gradients: it multiplies
+    # da^T by features near 1e3 whose column sums cancel, and it lands about
+    # 3e-10 from its own long-double evaluation, where the moment path lands
+    # about 3e-13 from it.
+    rng = Rng(32)
+    layer = _moment_layer(rng, in_dim=5)
+    f = 1e3 + rng.standard_normal((20, 5))
+    dout = Rng(0).standard_normal((20, layer.out_dim))
+    names = [n for n, _, _ in layer.named_params()]
+    fast = _fast_pass(copy.deepcopy(layer), f, dout)
+    centred = _reference_pass(copy.deepcopy(layer), f - 1e3, dout, monkeypatch)
+    _assert_close(fast, centred, names, buffers=("running_var",))
+    offset = _reference_pass(copy.deepcopy(layer), f, dout, monkeypatch)
+    for (name, a), (_, b) in zip(fast[3], offset[3]):
+        if name.endswith("running_mean"):
+            assert rel_err(a, b) <= 1e-12, name
+
+
+def test_moment_path_with_exactly_zero_mask_columns(monkeypatch):
+    rng = Rng(33)
+    layer = _moment_layer(rng, in_dim=7, mask_scale=3.0)
+    probs = [entmax15(u.mask_logits).probs for u in layer.units]
+    assert all((p == 0.0).any() for p in probs)
+    f = rng.standard_normal((21, 7))
+    grads = _assert_layer_is_the_reference(layer, f, monkeypatch)[2]
+    for k, p in enumerate(probs):  # a masked-out column gets no weight gradient
+        for w in ("w1", "w2"):
+            assert not grads[f"u{k}.{w}"][:, p == 0.0].any()
 
 
 def test_layer_backward_matches_finite_differences():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from danet import (AbstractUnit, DANet, DANetConfig, Dataset, FitResult, QhAdam, Rng,
-                   TrainConfig, TrainingError, batch_gradients, cross_entropy, entmax15,
-                   evaluate, fit, history_to_csv, layers, lr_at, mse, network,
-                   stratified_split)
+                   TrainConfig, TrainingError, batch_gradients, compress_model,
+                   cross_entropy, entmax15, evaluate, fit, history_to_csv, layers, lr_at,
+                   mse, network, stratified_split)
 from danet import training
 from danet.entmax import entmax15_backward
 from danet.training import _bias_adj
@@ -419,6 +419,62 @@ def test_fit_is_bitwise_the_straight_line_fit(monkeypatch):
         assert (epoch, lr, metric) == (repoch, rlr, rmetric)
         assert loss == pytest.approx(rloss, rel=1e-12, abs=0.0)
     _assert_state_close(state, ref_state)
+
+
+def test_whole_batch_training_pass_is_the_straight_line_pass(monkeypatch):
+    # one DANet.forward(train=True) and backward over 512 rows at ghost 256,
+    # as the benchmark's probe runs them: the loss within 1e-12 relative,
+    # the input gradient and the parameter gradients (as one flattened
+    # vector) within 1e-12 of the reference's norm, each running statistic
+    # within 1e-12, update counts exact
+    cfg = DANetConfig(depth=4, k0=3, d0=6, d1=8, dropout=0.1)
+    fast = DANet(9, cfg, ghost_size=256, seed=51)
+    randomize_params(fast, Rng(52), mask_scale=2.0)
+    slow = copy.deepcopy(fast)
+    rng = Rng(53)
+    x = rng.standard_normal((512, 9))
+    y = rng.integers(0, 2, 512)
+    runs = []
+    for model in (fast, slow):
+        if model is slow:
+            use_reference_step(monkeypatch)
+        out, ctx = model.forward(x, train=True, rng=Rng(54))
+        loss, dout = cross_entropy(out, y)
+        dx, grads = model.backward(ctx, dout)
+        runs.append((loss, dx, [grads[n] for n, _, _ in model.named_params()], _state(model)))
+    (loss, dx, grads, state), (rloss, rdx, rgrads, rstate) = runs
+    assert loss == pytest.approx(rloss, rel=1e-12, abs=0.0)
+    assert rel_err(dx, rdx) <= 1e-12
+    assert rel_err(grads, rgrads) <= 1e-12
+    _assert_state_close(state, rstate)
+    assert state[2] == [1] * len(state[2])
+
+
+def test_fit_validates_each_epoch_on_the_folded_model(monkeypatch):
+    folds = []
+    monkeypatch.setattr(training, "compress_model",
+                        lambda model: folds.append(model) or compress_model(model))
+    tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=3, patience=10, seed=55)
+    model = _toy_model(56)
+    train, valid = _toy_sets(Rng(57))
+    fit(model, train, valid, tcfg)
+    assert folds == [model] * 3  # one fold per epoch, of the live model
+
+
+@pytest.mark.parametrize("task", ["class", "rank"])
+def test_a_folded_validation_metric_is_the_live_metric(task):
+    # after a 1-epoch fit the kept parameters are the trained ones, and the
+    # live model scores the validation set as the folded one did: the
+    # accuracy exactly, the squared error within 1e-12 relative
+    tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=1, patience=10, seed=58)
+    model = _toy_model(59, task=task)
+    train, valid = _toy_sets(Rng(60), task=task)
+    res = fit(model, train, valid, tcfg)
+    live = evaluate(model, valid)
+    if task == "class":
+        assert res.history[0][3] == res.best_metric == live
+    else:
+        assert res.history[0][3] == res.best_metric == pytest.approx(live, rel=1e-12, abs=0.0)
 
 
 def test_each_unit_masks_once_per_step_and_per_scoring_call(monkeypatch):
