@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -85,6 +86,27 @@ def _check_schema(target, names, kinds) -> None:
 def _tensors(model):
     """(name, array) in file order: every parameter, then every buffer."""
     return [(name, arr) for name, _, arr in model.named_params()] + model.named_buffers()
+
+
+def _directory(cfg: DANetConfig, n_features: int, compressed) -> list:
+    """The tensor directory of the model a manifest describes, from its
+    config alone: {"name", "shape"} of each of ``_tensors``, in file order."""
+    params, bufs = [], []
+    for b in range(cfg.n_blocks):
+        for role, i, o in (("main1", cfg.d0 if b else n_features, cfg.d1),
+                           ("main2", cfg.d1, cfg.d0), ("shortcut", n_features, cfg.d0)):
+            for p in (f"block{b}.{role}.u{k}." for k in range(cfg.k0)):
+                if compressed:
+                    params += [(p + "w1s", [o, i]), (p + "b1s", [o]), (p + "w2s", [o, i]),
+                               (p + "b2s", [o])]
+                    continue
+                params += [(p + "mask", [i]), (p + "w1", [o, i]), (p + "w2", [o, i])]
+                params += [(f"{p}bn{j}.{t}", [o]) for j in (1, 2) for t in ("gamma", "beta")]
+                bufs += [(f"{p}bn{j}.running_{v}", [o]) for j in (1, 2) for v in ("mean", "var")]
+    h, c = cfg.hidden_width, cfg.out_dim
+    params += [("head.w0", [h, cfg.d0]), ("head.b0", [h]), ("head.w1", [h, h]),
+               ("head.b1", [h]), ("head.w2", [c, h]), ("head.b2", [c])]
+    return [{"name": name, "shape": shape} for name, shape in params + bufs]
 
 
 def save_model(path, model, feature_names=None, feature_kinds=None,
@@ -155,6 +177,8 @@ def load_model(path) -> LoadedModel:
         try:
             cfg = DANetConfig(**manifest["config"])
             n_features = int(manifest["n_features"])
+            _check_directory(fh, manifest.get("tensors"),
+                             _directory(cfg, n_features, manifest["compressed"]), path)
             if manifest["compressed"]:
                 model = compressed_like(DANet(n_features, cfg, seed=0))
             else:
@@ -166,31 +190,28 @@ def load_model(path) -> LoadedModel:
             kinds = [f["kind"] for f in features] if features else None
             _check_schema(manifest.get("target"), names, kinds)
             preprocess = _preprocess_from_manifest(manifest.get("preprocess"), n_features)
+        except ContainerError:
+            raise
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ContainerError(
                 f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
-        _fill(fh, manifest.get("tensors"), _tensors(model), path)
+        for _, arr in _tensors(model):
+            arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
     return LoadedModel(model=model, feature_names=names, feature_kinds=kinds,
                        preprocess=preprocess, manifest=manifest)
 
 
-def _fill(fh, directory, expected: list, path) -> None:
-    """Read the tensor bytes into the ``(name, array)`` pairs of ``expected``.
-    The directory must list exactly those tensors, in order and with their
-    shapes; each one's size is checked against the bytes left in the file
-    before it is read."""
-    if not isinstance(directory, list):
-        raise ContainerError(f"{path}: manifest 'tensors' is not a list")
+def _check_directory(fh, directory, expected: list, path) -> None:
+    """Before the model is built: the directory must be ``expected``, in
+    order and with its shapes, and the bytes left in the file its tensors."""
     if len(directory) > len(expected):
         raise ContainerError(f"{path}: container holds unexpected extra tensors")
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    for (name, arr), entry in itertools.zip_longest(expected, directory):
-        if entry != {"name": name, "shape": list(arr.shape)}:
+    for want, entry in itertools.zip_longest(expected, directory):
+        if entry != want:
             raise ContainerError(f"{path}: tensor directory lists {entry!r} where "
-                                 f"{name!r} with shape {list(arr.shape)} belongs")
-        if arr.nbytes > left:
-            raise ContainerError(f"{path}: truncated tensor data at {name!r}")
-        arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
-        left -= arr.nbytes
-    if left:
-        raise ContainerError(f"{path}: trailing bytes after tensor data")
+                                 f"{want['name']!r} with shape {want['shape']} belongs")
+    size = 8 * sum(math.prod(entry["shape"]) for entry in expected)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != size:
+        raise ContainerError(f"{path}: {'truncated' if left < size else 'trailing bytes after'}"
+                             f" tensor data ({left} bytes, {size} expected)")

@@ -7,7 +7,7 @@ import numpy as np
 
 from danet import DANet, DANetConfig, entmax15, network, training
 from danet.entmax import EntmaxResult, entmax15_backward
-from danet.layers import AbstractUnit, GhostBatchNorm, Module, relu, sigmoid
+from danet.layers import AbstractLayer, AbstractUnit, GhostBatchNorm, Module, relu, sigmoid
 
 
 def finite_diff_grad(f, x, h=1e-5):
@@ -102,22 +102,24 @@ def rel_err(got, expect):
     return float(np.linalg.norm(g - e) / np.linalg.norm(e))
 
 
-def gated_value(uctx):
-    """The unit's pre-ReLU value q * h2, from the gate q and the value h2
-    that the context keeps for the unit's backward."""
-    q, h2 = uctx.qh
-    return q * h2
+def gated_value(lctx, k):
+    """Unit k's pre-ReLU value q * h2 in a training forward, from the
+    doubled gate 2 q and the halved value h2 / 2 that the layer's context
+    keeps for its backward (their product is q * h2 exactly: the factors are
+    powers of two)."""
+    twice_q, half_h2 = lctx.z[k]
+    return twice_q * half_h2
 
 
-def _unit_margins(unit, uctx):
+def _unit_margins(unit, lctx, k):
     half = unit.mask_logits / 2.0
-    tau = uctx.mask.tau
-    on = half[uctx.mask.probs > 0] - tau
-    off = tau - half[uctx.mask.probs == 0]
+    mask = lctx.stack.masks[k]
+    on = half[mask.probs > 0] - mask.tau
+    off = mask.tau - half[mask.probs == 0]
     m = float(on.min()) if on.size else np.inf
     if off.size:
         m = min(m, float(off.min()))
-    return min(m, float(np.abs(gated_value(uctx)).min()))
+    return min(m, float(np.abs(gated_value(lctx, k)).min()))
 
 
 def model_is_stable(model, x, margin=1e-3):
@@ -128,8 +130,8 @@ def model_is_stable(model, x, margin=1e-3):
         pairs = ((block.main1, bctx.main1_ctx), (block.main2, bctx.main2_ctx),
                  (block.shortcut, bctx.shortcut_ctx))
         for layer, lctx in pairs:
-            for unit, uctx in zip(layer.units, lctx.unit_ctxs):
-                if _unit_margins(unit, uctx) < margin:
+            for k, unit in enumerate(layer.units):
+                if _unit_margins(unit, lctx, k) < margin:
                     return False
     hctx = ctx.head_ctx
     if np.abs(hctx.a0).min() < margin or np.abs(hctx.a1).min() < margin:
@@ -273,6 +275,16 @@ def ref_forward_sum(units, f, train):
     return total, ctxs
 
 
+@dataclass
+class RefLayerCtx:
+    unit_ctxs: list
+
+
+def ref_layer_forward(layer, f, train):
+    total, ctxs = ref_forward_sum(layer.units, f, train)
+    return total, (RefLayerCtx(unit_ctxs=ctxs) if train else None)
+
+
 def ref_named_grads(module, own, *child_grads):
     grads = {name: own[name] for name, kind, _ in module.leaves() if kind != "buffer"}
     for (name, _), sub in zip(module.children(), child_grads, strict=True):
@@ -396,7 +408,7 @@ def use_reference_step(monkeypatch):
     monkeypatch.setattr(GhostBatchNorm, "forward", ref_bn_forward)
     monkeypatch.setattr(GhostBatchNorm, "backward", ref_bn_backward)
     monkeypatch.setattr(AbstractUnit, "forward", ref_unit_forward)
-    monkeypatch.setattr(AbstractUnit, "forward_sum", staticmethod(ref_forward_sum))
+    monkeypatch.setattr(AbstractLayer, "forward", ref_layer_forward)
     monkeypatch.setattr(training, "compress_model", lambda model: model)
     monkeypatch.setattr(AbstractUnit, "backward", ref_unit_backward)
     monkeypatch.setattr(DANet, "backward", ref_model_backward)

@@ -252,10 +252,10 @@ def _stable_layer_case(seed):
         unit.bn2.beta[:] = 0.3 * rng.standard_normal(d)
     f = rng.standard_normal((batch, m))
     _, ctx = layer.forward(f, train=True)
-    for unit, uctx in zip(layer.units, ctx.unit_ctxs):
+    for k, unit in enumerate(layer.units):
         if entmax_margin(unit.mask_logits) < 1e-3:
             return None
-        if np.abs(gated_value(uctx)).min() < 1e-3:
+        if np.abs(gated_value(ctx, k)).min() < 1e-3:
             return None
     return layer, f
 
@@ -271,7 +271,7 @@ def test_gated_value_rebuilds_the_training_output_bitwise():
         bn.beta[:] = 0.5 * rng.standard_normal(4)
     out, ctx = unit.forward(3.0 * rng.standard_normal((21, 5)), train=True)
     assert (out == 0.0).any() and (out > 0.0).any()
-    assert relu(gated_value(ctx)).tobytes() == out.tobytes()
+    assert relu(gated_value(ctx, 0)).tobytes() == out.tobytes()
 
 
 def _moment_layer(rng, in_dim=6, out_dim=4, branches=3, ghost=8, mask_scale=2.0):
@@ -330,17 +330,18 @@ def _assert_layer_is_the_reference(layer, f, monkeypatch):
 
 def test_moment_path_with_a_one_row_tail_ghost(monkeypatch):
     # 17 rows at ghost 8: the tail ghost's row is its own mean, so its
-    # centred input and scatter are zero and its output is beta
+    # centred input and scatter (and with it W S) are zero and its output is
+    # beta, for every unit of the layer
     rng = Rng(30)
     layer = _moment_layer(rng)
     f = rng.standard_normal((17, 6))
     _assert_layer_is_the_reference(layer, f, monkeypatch)
-    unit = layer.units[0]
-    _, ctx = unit.forward(f, train=True)
-    assert not ctx.moments.fc[16].any() and not ctx.moments.scatter[2].any()
-    q, h2 = ctx.qh
-    assert np.array_equal(h2[16], unit.bn2.beta)
-    assert np.array_equal(q[16], sigmoid(unit.bn1.beta))
+    _, ctx = layer.forward(f, train=True)
+    _, _, _, ws, _ = ctx.ghosts[2]
+    assert not ctx.xa[16, :-1].any() and not ws.any()
+    for unit, (twice_q, half_h2) in zip(layer.units, ctx.z):
+        assert np.array_equal(2.0 * half_h2[16], unit.bn2.beta)
+        assert np.array_equal(0.5 * twice_q[16], sigmoid(unit.bn1.beta))
 
 
 def test_moment_path_with_a_column_constant_within_a_ghost(monkeypatch):
@@ -354,10 +355,11 @@ def test_moment_path_with_a_column_constant_within_a_ghost(monkeypatch):
     solo.mask_logits[:] = -10.0
     solo.mask_logits[2] = 10.0
     _assert_layer_is_the_reference(layer, f, monkeypatch)
-    _, ctx = solo.forward(f, train=True)
-    assert all(not s[2].any() and not s[:, 2].any() for s in ctx.moments.scatter)
-    for inv in (inv for inv, _, _, _ in ctx.ghosts):
-        assert np.array_equal(inv, np.full(8, 1.0 / np.sqrt(GhostBatchNorm.eps)))
+    _, ctx = layer.forward(f, train=True)
+    # the centred column is zero in every ghost, so is S's row and column 2
+    assert not ctx.xa[:, 2].any()
+    for inv in (inv for _, inv, _, _, _ in ctx.ghosts):
+        assert np.array_equal(inv[1], np.full(8, 1.0 / np.sqrt(GhostBatchNorm.eps)))
 
 
 def test_moment_path_with_a_large_common_offset(monkeypatch):
@@ -393,6 +395,26 @@ def test_moment_path_with_exactly_zero_mask_columns(monkeypatch):
     for k, p in enumerate(probs):  # a masked-out column gets no weight gradient
         for w in ("w1", "w2"):
             assert not grads[f"u{k}.{w}"][:, p == 0.0].any()
+
+
+def test_a_lone_unit_trains_as_a_layer_of_one():
+    rng = Rng(40)
+    layer = _moment_layer(rng, branches=1)
+    unit = layer.units[0]
+    f = rng.standard_normal((19, 6))
+    dout = rng.standard_normal((19, 4))
+    lout, lctx = layer.forward(f, train=True)
+    ldf, lgrads = layer.backward(lctx, dout)
+    out, ctx = unit.forward(f, train=True)
+    df, grads = unit.backward(ctx, dout)
+    assert out.tobytes() == lout.tobytes() and df.tobytes() == ldf.tobytes()
+    assert list(grads) == [n for n, _, _ in unit.named_params()]
+    assert all(grads[n].tobytes() == lgrads[f"u0.{n}"].tobytes() for n in grads)
+    # inside sums opened around the unit its gradients land there
+    _, ctx = unit.forward(f, train=True)
+    with unit.summing_grads() as outer:
+        assert unit.backward(ctx, dout)[1] == {}
+    assert all(outer[n].tobytes() == grads[n].tobytes() for n in grads)
 
 
 def test_layer_backward_matches_finite_differences():
@@ -455,7 +477,7 @@ def test_context_is_single_use_and_owner_checked():
 def test_mask_is_shared_across_rows():
     unit, rng = trained_unit(21)
     _, ctx = unit.forward(rng.standard_normal((30, 6)), train=True)
-    mask = ctx.mask
+    mask = ctx.stack.masks[0]
     assert abs(mask.probs.sum() - 1.0) <= 1e-12
     # same mask applied to every row: each row scores as that row scaled by
     # the mask scores under a uniform mask (1/6 per feature, undone by the 6)

@@ -2,6 +2,10 @@
 container round trip."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ import pytest
 from danet import (ContainerError, DANet, DANetConfig, Dataset, PreprocessState, Rng,
                    ShapeError, count_flops, load_model, save_model)
 from danet.network import BasicBlock, MlpHead
-from danet.reparam import compressed_like
+from danet.reparam import compress_model, compressed_like
+from danet.serialize import _directory, _tensors
 from helpers import finite_diff_grad, grad_check_model, make_small_danet, model_is_stable
 
 
@@ -284,6 +289,84 @@ def test_container_rejects_tampering(tmp_path):
     bad.write_bytes(raw[:nl + 1] + b"{not json}\n" + raw[nl + 1:])
     with pytest.raises(ContainerError):
         load_model(bad)
+
+
+@pytest.mark.parametrize("cfg, n_features", [
+    (DANetConfig(depth=2, k0=1, d0=2, d1=2), 3),
+    (DANetConfig(depth=4, k0=3, d0=5, d1=7, head_hidden=6), 9),
+    (DANetConfig(depth=6, k0=2, d0=4, d1=3, task="rank"), 1),
+    (DANetConfig(depth=2, k0=2, d0=3, d1=4, num_classes=4), 11),
+])
+def test_the_directory_from_the_config_is_the_models(cfg, n_features):
+    # the arithmetic the loader checks a container with before it builds
+    # the model agrees with the tensors of a live and a compressed model
+    live = DANet(n_features, cfg, seed=0)
+    for model, compressed in ((live, False), (compressed_like(live), True)):
+        expect = [{"name": n, "shape": list(a.shape)} for n, a in _tensors(model)]
+        assert _directory(cfg, n_features, compressed) == expect
+
+
+ROOT = Path(__file__).resolve().parents[1]
+_PEAK_RSS = """
+import resource, sys
+from danet import ContainerError, load_model
+try:
+    load_model(sys.argv[1])
+    print("loaded", end=" ")
+except ContainerError as e:
+    print("ContainerError:", e, end=" ")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def _load_in_a_subprocess(path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH"))
+                                        if p)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    outcome, peak_mb = proc.stdout.rsplit(" ", 1)
+    return outcome, int(peak_mb)
+
+
+def test_an_oversized_config_is_refused_before_anything_is_allocated(tmp_path):
+    # the reference container with its config rewritten to d1 = 400000
+    # once built a 1.39 GB skeleton before the tensor directory refused it;
+    # the loader now refuses it from the counts alone, at the unaltered
+    # file's peak resident size
+    raw = (ROOT / "benchmarks" / "model" / "serve.danet").read_bytes()
+    magic, line, tensors = raw.split(b"\n", 2)
+    manifest = json.loads(line)
+    manifest["config"]["d1"] = 400000
+    bad = tmp_path / "d1.danet"
+    bad.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + tensors)
+    with pytest.raises(ContainerError, match="'block0.main1.u0.w1' with shape .400000"):
+        load_model(bad)
+    outcome, peak = _load_in_a_subprocess(bad)
+    assert outcome.startswith("ContainerError:") and "[400000, 11] belongs" in outcome
+    good_outcome, good_peak = _load_in_a_subprocess(ROOT / "benchmarks" / "model" / "serve.danet")
+    assert good_outcome == "loaded"
+    assert peak <= good_peak + 10
+
+
+def test_compressed_and_v1_containers_round_trip_byte_identically(tmp_path):
+    # the reference container is format version 1; it loads, and it and its
+    # compressed twin save -> load -> save to the same bytes
+    ref = ROOT / "benchmarks" / "model" / "serve.danet"
+    loaded = load_model(ref)
+    assert loaded.manifest["version"] == 1
+    for model, name in ((loaded.model, "live"), (compress_model(loaded.model), "folded")):
+        p1, p2 = tmp_path / f"{name}1.danet", tmp_path / f"{name}2.danet"
+        save_model(p1, model, feature_names=loaded.feature_names,
+                   feature_kinds=loaded.feature_kinds, preprocess=loaded.preprocess,
+                   target_name=loaded.manifest["target"])
+        again = load_model(p1)
+        save_model(p2, again.model, feature_names=again.feature_names,
+                   feature_kinds=again.feature_kinds, preprocess=again.preprocess,
+                   target_name=again.manifest["target"])
+        assert p1.read_bytes() == p2.read_bytes()
+    assert (tmp_path / "live1.danet").read_bytes() == ref.read_bytes()
 
 
 def _without(key):

@@ -335,6 +335,19 @@ def _units(model):
     return [m for _, m in model.walk() if isinstance(m, AbstractUnit)]
 
 
+def _layers(model):
+    return [m for _, m in model.walk() if isinstance(m, layers.AbstractLayer)]
+
+
+def _no_step_state(model):
+    # no mask, stacked weights, gradient sum or statistic sum of a step
+    # survives it
+    assert all(u.mask_cache is None for u in _units(model))
+    assert all(layer.mask_cache is None for layer in _layers(model))
+    assert all(bn.pending is None for _, bn in model.named_bns())
+    assert all(m.grad_sums is None for _, m in model.walk())
+
+
 def _sparse_mask_case(task, seed):
     # 37 rows at ghost 8 end in a short tail ghost of 5; scattered logits
     # give sparse, uneven masks
@@ -505,6 +518,7 @@ def test_the_mask_cache_does_not_outlive_its_step():
     batch_gradients(model, x, y, Rng(48))
     assert all(u.mask_cache is None for u in _units(model))
     assert all(bn.pending is None for _, bn in model.named_bns())
+    _no_step_state(model)
     # new logits reach the next call: feature 0 alone is kept
     unit = model.blocks[0].main1.units[0]
     before, _ = unit.forward(x, train=False)
@@ -526,6 +540,11 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
         if len(seen) == 3:
             assert all(u.mask_cache for u in _units(self))  # filled by ghost 1
             assert all(u.grad_sums for u in _units(self))  # ghosts 1 and 2 added theirs
+            # each layer's weights stacked by ghost 1; its gradient and
+            # statistic sums hold ghosts 1 and 2
+            assert all(layer.mask_cache.stats[2] == 2 for layer in _layers(self))
+            assert all(set(layer.grad_sums) == {"w", "gamma", "beta"}
+                       for layer in _layers(self))
             raise RuntimeError("ghost 3 failed")
         return forward(self, *args, **kwargs)
 
@@ -537,6 +556,48 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
     assert all(bn.pending is None for _, bn in model.named_bns())
     assert all(m.grad_sums is None for _, m in model.walk())  # every gradient sum dropped
     assert _state_bytes(model) == state  # no running statistic moved
+    _no_step_state(model)
+
+
+def test_each_layer_folds_once_per_ghost_for_all_its_units(monkeypatch):
+    # the fold statistics (W S, the variances, inv, a, [a W | beta]) are
+    # computed in one call per layer and ghost, not per unit and ghost, and
+    # the units are stacked once per step
+    model, x, y = _sparse_mask_case("class", 61)
+    folds, stacks = [], []
+    fold, of = layers.UnitStack.fold, layers.UnitStack.of.__func__
+    monkeypatch.setattr(layers.UnitStack, "fold",
+                        lambda self, fc, mu: folds.append(self) or fold(self, fc, mu))
+    monkeypatch.setattr(layers.UnitStack, "of",
+                        classmethod(lambda cls, units: stacks.append(units) or of(cls, units)))
+    batch_gradients(model, x, y, Rng(62))  # five ghosts
+    assert len(_layers(model)) == 6 and len(_units(model)) == 12
+    assert len(stacks) == 6
+    assert len(folds) == 6 * 5
+    assert all(len(stack.masks) == 2 for stack in folds)
+
+
+def test_the_reference_step_reaches_no_stacked_code(monkeypatch):
+    # the straight-line oracle must not lean on the code it checks: with
+    # every piece of the stacked fold made to raise, the reference step and
+    # the reference fit still run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reference reached the stacked fold")
+
+    for name in ("of", "fold", "record"):
+        monkeypatch.setattr(layers.UnitStack, name, forbidden)
+    for name in ("forward", "backward", "finished_grads"):
+        monkeypatch.setattr(layers.AbstractLayer, name, forbidden)
+    use_reference_step(monkeypatch)  # puts its own AbstractLayer.forward in
+    model, x, y = _sparse_mask_case("rank", 63)
+    assert len(_two_steps(model, x, y)) == 2
+    tcfg = TrainConfig(batch_size=12, ghost_size=8, max_epochs=2, patience=10, seed=3)
+    train, valid = _toy_sets(Rng(64))
+    assert fit(_toy_model(65), train, valid, tcfg).epochs_run == 2
+    monkeypatch.undo()
+    monkeypatch.setattr(layers.UnitStack, "fold", forbidden)
+    with pytest.raises(AssertionError, match="stacked fold"):  # the fast step reaches it
+        batch_gradients(model, x, y, Rng(66))
 
 
 def _traced_peak_mb(fn):
