@@ -383,10 +383,16 @@ class UnitStack:
 
     @classmethod
     def of(cls, units) -> UnitStack:
+        """Inside ``Module.fixed_params`` each unit's kept masked weights
+        become a view of the stack, so the step holds one copy of them."""
         masks, ws = zip(*(unit.masked() for unit in units))
-        return cls(masks=masks, w=np.stack(ws),
-                   gamma=np.stack([np.concatenate((u.bn1.gamma, u.bn2.gamma)) for u in units]),
-                   beta=np.stack([np.concatenate((u.bn1.beta, u.bn2.beta)) for u in units]))
+        stack = cls(masks=masks, w=np.stack(ws),
+                    gamma=np.stack([np.concatenate((u.bn1.gamma, u.bn2.gamma)) for u in units]),
+                    beta=np.stack([np.concatenate((u.bn1.beta, u.bn2.beta)) for u in units]))
+        for unit, mask, w in zip(units, masks, stack.w):
+            if unit.mask_cache:
+                unit.mask_cache = mask, w
+        return stack
 
     def fold(self, fc: np.ndarray, mu: np.ndarray):
         """(inv, a, W S, [a W | beta]) of every unit for one ghost of centred

@@ -11,6 +11,7 @@ logits or a regression score.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,11 +190,30 @@ class BasicBlock(Module):
 
 # rows per scoring call in ``predict``. A block's activations (1024 x 64
 # float64 is 512 kB) stay in cache between the matmuls and the elementwise
-# steps (8192-row blocks were 1.4x slower). At 512, 1024 and 2048 rows the
-# benchmark's folded model scored 70k rows in 1.48, 1.69 and 1.45 s, within
-# the runs' spread of 1.27-1.77 s, and the live model 14k rows in 0.58, 0.56
-# and 0.71 s (medians of 5 and 3 runs, 2-core box, OpenBLAS on one thread)
+# steps (8192-row blocks were 1.4x slower). Scored on a pool of two, at
+# 512, 1024 and 2048 rows the benchmark's folded model scored 70k rows in
+# 1.02, 1.03 and 1.05 s, within the runs' spread of 0.75-1.26 s, and the
+# live model 14k rows in 0.43, 0.42 and 0.38 s, within 0.35-0.54 s (medians
+# of 3 runs of 5, 2-core box, OpenBLAS on one thread)
 PREDICT_BLOCK = 1024
+
+
+def scoring_threads() -> int:
+    """Threads ``predict`` scores on: the CPUs this process may run on over
+    the threads BLAS runs each call on, the first positive integer of
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS (the variables OpenBLAS reads
+    when it loads). With neither set BLAS is taken to use every CPU, and
+    the width is 1, so pools never oversubscribe the CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
 
 
 @dataclass
@@ -299,12 +319,22 @@ class DANet(Module):
     def predict(self, x) -> np.ndarray:
         """Class labels (argmax of the logits, ties to the lowest index) or
         the regression scores as a flat vector, scored in blocks of
-        ``PREDICT_BLOCK`` rows (one call for an empty input). A live model
-        masks its weights once for all the blocks."""
+        ``PREDICT_BLOCK`` rows (one call for an empty input).
+
+        The first block runs in this thread, where a live model masks its
+        weights once for all the blocks. The others run on a pool of
+        ``scoring_threads()`` threads made for this call, which numpy's
+        matmuls and ufuncs let run side by side; each block is scored as
+        it would be alone, so the result does not depend on the width."""
         x = self._check_input(x)
-        starts = range(0, max(x.shape[0], 1), PREDICT_BLOCK)
+        blocks = [x[s:s + PREDICT_BLOCK] for s in range(0, max(x.shape[0], 1), PREDICT_BLOCK)]
         with self.fixed_params():
-            out = np.concatenate([self.scores(x[s:s + PREDICT_BLOCK]) for s in starts])
+            out = [self.scores(blocks[0])]
+            if len(blocks) > 1:
+                from concurrent.futures import ThreadPoolExecutor  # not an import-time cost
+                with ThreadPoolExecutor(scoring_threads()) as pool:
+                    out += pool.map(self.scores, blocks[1:])
+        out = np.concatenate(out)
         if self.config.task == "class":
             return np.argmax(out, axis=1)
         return out[:, 0]

@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and gradient-check plumbing."""
 
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -399,6 +400,19 @@ def ref_predict(model, x):
     if model.config.task == "class":
         return np.argmax(out, axis=1)
     return out[:, 0]
+
+
+def set_scoring_width(monkeypatch, width):
+    """Makes ``predict``'s pool ``width`` threads wide through the width
+    rule's inputs: BLAS on one thread over ``width`` CPUs, or, for 1, BLAS
+    left free to take every CPU."""
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if width == 1:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)), raising=False)
+    assert network.scoring_threads() == width
 
 
 def use_reference_step(monkeypatch):

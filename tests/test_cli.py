@@ -287,6 +287,33 @@ def test_compress_preserves_the_metric(trained, tmp_path, capsys):
     assert code == 0 and stdout.startswith("masks: folded away in a compressed model\n")
 
 
+def test_eval_prints_the_same_line_with_blas_pinned_or_not(trained, tmp_path, capsys):
+    # BLAS reads its thread count once, at load, so each setting gets its
+    # own interpreter; pinned, predict scores the blocks after the first on
+    # a pool (one thread per CPU), unpinned on one thread
+    _, _, out_dir, _, _ = trained
+    data = tmp_path / "wide.csv"
+    rows = 2 * danet.network.PREDICT_BLOCK + 5
+    assert main(["synth", "--formula", "1", "--n", str(rows), "--seed", "9",
+                 "--task", "class", "--out", str(data)]) == 0
+    capsys.readouterr()
+    env = dict(os.environ)
+    src = str(Path(danet.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("OMP_NUM_THREADS", None)
+    argv = [sys.executable, "-m", "danet.cli", "eval", "--model",
+            str(out_dir / "model.danet"), "--data", str(data)]
+    lines = []
+    for pinned in (True, False):
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if pinned:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines.append(proc.stdout)
+    assert lines[0] == lines[1] and re.fullmatch(r"accuracy=[0-9.]+\n", lines[0])
+
+
 def inspect_report(capsys, path):
     """``danet inspect`` output as (mask lines, table rows split into cells)."""
     code, stdout, err = run(capsys, "inspect", "--model", str(path))

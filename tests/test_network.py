@@ -12,6 +12,7 @@ import pytest
 
 from danet import (ContainerError, DANet, DANetConfig, Dataset, PreprocessState, Rng,
                    ShapeError, count_flops, load_model, save_model)
+from danet import network
 from danet.network import BasicBlock, MlpHead
 from danet.reparam import compress_model, compressed_like
 from danet.serialize import _directory, _tensors
@@ -175,6 +176,33 @@ def test_eval_forward_is_rowwise_independent():
     batch = model.scores(x)
     rows = np.vstack([model.scores(x[i:i + 1]) for i in range(7)])
     assert np.max(np.abs(batch - rows)) <= 1e-12
+
+
+def test_the_scoring_width_is_the_cpus_blas_leaves_free(monkeypatch):
+    def width(cpus, **env):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if var in env:
+                monkeypatch.setenv(var, env[var])
+            else:
+                monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        return network.scoring_threads()
+
+    assert width(2) == 1  # BLAS unpinned takes every CPU
+    assert width(2, OPENBLAS_NUM_THREADS="1") == 2
+    assert width(4, OMP_NUM_THREADS="1") == 4
+    assert width(4, OPENBLAS_NUM_THREADS="2") == 2
+    assert width(4, OPENBLAS_NUM_THREADS="4") == 1
+    assert width(1, OPENBLAS_NUM_THREADS="8") == 1
+    assert width(4, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="1") == 2  # OpenBLAS's own wins
+    for unset in ("0", "", "abc", "-1"):
+        assert width(4, OPENBLAS_NUM_THREADS=unset) == 1
+        assert width(4, OPENBLAS_NUM_THREADS=unset, OMP_NUM_THREADS="2") == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert network.scoring_threads() == 3
 
 
 def test_depth_counts_blocks():

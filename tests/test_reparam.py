@@ -2,6 +2,8 @@
 
 import copy
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from danet import (AbstractLayer, BasicBlock, CompressedUnit, ContainerError, DA
 from danet import network
 from danet.layers import AbstractUnit
 from danet.reparam import compressed_like
+from helpers import set_scoring_width
 
 
 def test_fold_bn_identity_when_stats_cancel():
@@ -220,13 +223,14 @@ def test_compress_model_is_detached_from_the_source():
 
 
 @pytest.mark.parametrize("task", ["class", "rank"])
-def test_predict_in_blocks_equals_one_scores_call(task):
+def test_predict_in_blocks_equals_one_scores_call(task, monkeypatch):
     rng = Rng(40)
     cfg = DANetConfig(depth=2, k0=2, d0=4, d1=5, dropout=0.1, task=task, num_classes=3)
     model = DANet(6, cfg, ghost_size=8, seed=41)
     for _ in range(3):  # populate the running statistics
         model.forward(rng.standard_normal((16, 6)), train=True, rng=rng)
-    n = 2 * network.PREDICT_BLOCK + 123  # two full blocks and a short one
+    block = network.PREDICT_BLOCK
+    n = 2 * block + 123  # two full blocks and a short one
     x = rng.standard_normal((n, 6))
     for m in (model, compress_model(model)):
         whole = m.scores(x)
@@ -239,6 +243,46 @@ def test_predict_in_blocks_equals_one_scores_call(task):
         assert empty.shape == (0,)
         with pytest.raises(ShapeError):
             m.predict(np.zeros((n, 5)))
+
+    # on a pool of any width, bitwise the blocks scored one by one; the
+    # first block runs in the calling thread and no pool thread outlives
+    # its call. Threads switch every microsecond, and width 3 can exceed
+    # the cores, to give a race room to show
+    scores, on_main = DANet.scores, []
+    monkeypatch.setattr(DANet, "scores", lambda self, xb: on_main.append(
+        threading.current_thread() is threading.main_thread()) or scores(self, xb))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for width in (1, 2, 3):
+            set_scoring_width(monkeypatch, width)
+            for m in (model, compress_model(model)):
+                for rows in (0, 1, block, block + 1, 5 * block + 3):
+                    xr = rng.standard_normal((rows, 6))
+                    starts = range(0, max(rows, 1), block)
+                    serial = np.concatenate([scores(m, xr[s:s + block]) for s in starts])
+                    want = np.argmax(serial, axis=1) if task == "class" else serial[:, 0]
+                    threads = threading.active_count()
+                    on_main.clear()
+                    got = m.predict(xr)
+                    assert threading.active_count() == threads
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert on_main == [True] + [False] * (len(starts) - 1)
+    finally:
+        sys.setswitchinterval(switch)
+
+    # a block that raises on a pool thread raises from predict, which
+    # leaves no thread behind
+    def fails_on_a_pool_thread(self, xb):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("block failed")
+        return scores(self, xb)
+
+    monkeypatch.setattr(DANet, "scores", fails_on_a_pool_thread)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block failed"):
+        model.predict(rng.standard_normal((3 * block, 6)))
+    assert threading.active_count() == threads
 
 
 def test_compressed_model_validates_input():

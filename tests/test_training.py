@@ -15,7 +15,7 @@ from danet import training
 from danet.entmax import entmax15_backward
 from danet.training import _bias_adj
 from helpers import (finite_diff_grad, make_small_danet, randomize_params, rel_err,
-                     use_reference_step)
+                     set_scoring_width, use_reference_step)
 
 
 def test_train_config_validation():
@@ -511,6 +511,28 @@ def test_each_unit_masks_once_per_step_and_per_scoring_call(monkeypatch):
     calls.clear()
     model.predict(x[:4])  # one block
     assert len(calls) == len(_units(model))
+    calls.clear()
+    set_scoring_width(monkeypatch, 2)
+    model.predict(x)  # ten blocks, nine of them on a pool of two
+    assert len(calls) == len(_units(model))
+    assert _state_bytes(model) == state
+
+
+def test_a_step_keeps_one_copy_of_the_masked_weights():
+    # inside a step each unit's kept masked weights are a view of its
+    # layer's stack, with the values a fresh masking gives
+    model, x, _ = _sparse_mask_case("class", 67)
+    with model.fixed_params():
+        model.forward(x, train=True, rng=Rng(68))
+        for layer in _layers(model):
+            for k, unit in enumerate(layer.units):
+                mask, w = unit.masked()
+                assert mask is layer.mask_cache.masks[k]
+                assert np.shares_memory(w, layer.mask_cache.w)
+                assert np.array_equal(w, layer.mask_cache.w[k])
+                fresh = np.concatenate((unit.w1, unit.w2)) * entmax15(unit.mask_logits).probs
+                assert np.array_equal(w, fresh)
+    _no_step_state(model)
 
 
 def test_the_mask_cache_does_not_outlive_its_step():
