@@ -1,6 +1,7 @@
 """Dataset loading, preprocessing, splitting, and synthetic generators.
 
-CSV input follows RFC 4180 with a header row (stdlib csv module). A schema
+CSV input follows RFC 4180 with a header row: files without quotes are split
+on commas in one pass, all others go through the stdlib csv module. A schema
 file assigns every column a kind: ``name=continuous``, ``name=categorical``,
 or ``name=target`` (exactly one target). ``PreprocessState`` leave-one-out
 encodes the categorical columns against the training targets and z-scores the
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
@@ -66,14 +67,23 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx) -> "Dataset":
+        """The rows at integer positions ``idx``, or where the boolean mask
+        ``idx`` of ``n_rows`` entries is true."""
         idx = np.asarray(idx)
+        if idx.dtype == np.bool_ and idx.shape == (self.n_rows,):
+            idx = np.flatnonzero(idx)
+        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+            raise DataError(f"Dataset.subset: expected 1-D integer positions or a boolean "
+                            f"mask of {self.n_rows} rows, got dtype {idx.dtype} and shape "
+                            f"{idx.shape}")
+        take = idx.tolist()
         return Dataset(
             features=self.features[idx].copy(),
             targets=self.targets[idx].copy(),
             names=list(self.names),
             kinds=list(self.kinds),
             task=self.task,
-            cat_raw={j: [vals[i] for i in idx] for j, vals in self.cat_raw.items()},
+            cat_raw={j: [vals[i] for i in take] for j, vals in self.cat_raw.items()},
         )
 
 
@@ -119,41 +129,37 @@ def _parse_float(cell: str, row: int, col: str) -> float:
     return v
 
 
-def _parse_columns(rows: list, width: int, cols: list, outs: list) -> bool:
-    """Parse the cells at CSV indices ``cols`` into the arrays ``outs``, one
-    column at a time. False when a row is ragged or a cell is not a finite
-    float."""
-    if any(len(row) != width for row in rows):
-        return False
+def _split_csv(path):
+    """The header and the columns of a CSV that ``str.split`` tokenizes
+    exactly as the csv module does: UTF-8, no ``"``, no NUL, no ``\\r`` but
+    in ``\\r\\n`` line ends, no blank line, no line over
+    ``csv.field_size_limit()``, and the same number of commas on every line.
+    None for any other file, or for a header with no data row."""
     try:
-        for i, out in zip(cols, outs):
-            out[:] = np.fromiter(map(float, map(itemgetter(i), rows)), np.float64, len(rows))
-    except ValueError:
-        return False
-    return all(np.isfinite(out).all() for out in outs)
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read().replace("\r\n", "\n")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    if (len(lines) < 2 or "" in lines or max(map(len, lines)) > csv.field_size_limit()
+            or len(set(map(str.count, lines, repeat(",")))) != 1):
+        return None
+    header = lines[0].split(",")
+    body = ",".join(lines[1:])
+    del lines
+    cells = body.split(",")
+    del body
+    width = len(header)
+    return header, [cells[i::width] for i in range(width)]
 
 
-def _parse_cells(rows: list, width: int, cols: list, names: list, outs: list) -> None:
-    """``_parse_columns`` cell by cell, raising DataError at the first ragged
-    row or bad cell in row-major order."""
-    for r, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataError(f"row {r}: expected {width} cells, got {len(row)}")
-        for i, name, out in zip(cols, names, outs):
-            out[r - 1] = _parse_float(row[i], r, name)
-
-
-def load_csv(path, schema: dict, task: str = "class") -> Dataset:
-    """Load an RFC 4180 CSV with header against a schema.
-
-    Continuous cells and targets are parsed column by column with Python's
-    ``float``; only when a row is ragged or a cell is not a finite float does
-    a second, cell-by-cell pass run, to name the first bad row and column.
-    Row numbers in error messages are 1-based data rows (the header is row 0).
-    Classification targets must be non-negative integers, at most 2**53.
-    """
-    if task not in ("class", "rank"):
-        raise DataError(f"load_csv: task must be 'class' or 'rank', got {task!r}")
+def _read_csv(path):
+    """The header and the rows of any CSV, through the csv module."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -167,7 +173,61 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
             raise DataError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
+    return header, rows
 
+
+def _parse_columns(columns: list, cols: list, outs: list) -> bool:
+    """Parse the CSV columns at indices ``cols`` into the arrays ``outs``.
+    False when a cell is not a finite float."""
+    try:
+        for i, out in zip(cols, outs):
+            out[:] = np.fromiter(map(float, columns[i]), np.float64, len(out))
+    except ValueError:
+        return False
+    return all(np.isfinite(out).all() for out in outs)
+
+
+def _parse_cells(rows: list, width: int, cols: list, names: list, outs: list) -> None:
+    """``_parse_columns`` cell by cell over the rows, raising DataError at
+    the first ragged row or bad cell in row-major order."""
+    for r, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataError(f"row {r}: expected {width} cells, got {len(row)}")
+        for i, name, out in zip(cols, names, outs):
+            out[r - 1] = _parse_float(row[i], r, name)
+
+
+def load_csv(path, schema: dict, task: str = "class") -> Dataset:
+    """Load an RFC 4180 CSV with header against a schema.
+
+    A file without quotes or stray ``\\r`` (see ``_split_csv``) is split on
+    commas in one pass; any other file, and any file the split path cannot
+    parse, goes through the csv module. Continuous cells and targets are
+    parsed column by column with Python's ``float``; only when a row is
+    ragged or a cell is not a finite float does a cell-by-cell pass over the
+    csv module's rows run, to name the first bad row and column, so every
+    error reads the same on both paths. Row numbers in error messages are
+    1-based data rows (the header is row 0). Classification targets must be
+    non-negative integers, at most 2**53.
+    """
+    if task not in ("class", "rank"):
+        raise DataError(f"load_csv: task must be 'class' or 'rank', got {task!r}")
+    split = _split_csv(path)
+    ds = _dataset(path, schema, task, *split) if split else None
+    if ds is None:
+        header, rows = _read_csv(path)
+        width = len(header)
+        columns = (None if any(len(row) != width for row in rows)
+                   else list(map(list, zip(*rows))))
+        ds = _dataset(path, schema, task, header, columns, rows)
+    return ds
+
+
+def _dataset(path, schema: dict, task: str, header: list, columns, rows=None):
+    """The Dataset of a tokenized CSV: ``columns`` holds each CSV column's
+    cells, or is None when a row is ragged. When a row is ragged or a cell is
+    not a finite float, the first bad cell is named from ``rows``; without
+    rows, returns None."""
     missing = [c for c in schema if c not in header]
     if missing:
         raise DataError(f"{path}: schema column(s) missing from CSV header: {missing}")
@@ -186,14 +246,16 @@ def load_csv(path, schema: dict, task: str = "class") -> Dataset:
     # the continuous features in order, then the target: the order in which
     # the per-cell pass checks a row's cells
     cont = [j for j, kind in enumerate(kinds) if kind == "continuous"]
-    features = np.zeros((len(rows), len(feat_cols)))
-    targets_f = np.zeros(len(rows))
+    n = len(columns[0]) if columns else len(rows)
+    features = np.zeros((n, len(feat_cols)))
+    targets_f = np.zeros(n)
     cols = [feat_cols[j][0] for j in cont] + [target_idx]
     outs = [features[:, j] for j in cont] + [targets_f]
-    if not _parse_columns(rows, len(header), cols, outs):
+    if not (columns and _parse_columns(columns, cols, outs)):
+        if rows is None:
+            return None
         _parse_cells(rows, len(header), cols, [names[j] for j in cont] + [target_col], outs)
-    cat_raw = {j: [row[i] for row in rows] for j, (i, _) in enumerate(feat_cols)
-               if kinds[j] == "categorical"}
+    cat_raw = {j: columns[i] for j, (i, _) in enumerate(feat_cols) if kinds[j] == "categorical"}
 
     if task == "class":
         not_int = (targets_f < 0) | (targets_f != np.round(targets_f))
@@ -251,8 +313,9 @@ class PreprocessState:
         global_mean = float(t.mean())
         self.loo_tables = {}
         for j, vals in ds.cat_raw.items():
-            index = {}  # category -> its number, in order of first appearance
-            inv = np.array([index.setdefault(v, len(index)) for v in vals], dtype=np.int64)
+            # category -> its number, in order of first appearance
+            index = {v: k for k, v in enumerate(dict.fromkeys(vals))}
+            inv = np.fromiter(map(index.__getitem__, vals), np.int64, len(vals))
             sums = np.bincount(inv, weights=t)  # adds in row order
             counts = np.bincount(inv)
             own = counts[inv]
@@ -275,7 +338,9 @@ class PreprocessState:
             raise DataError("PreprocessState: categorical columns differ from those seen at fit")
         x = np.array(ds.features, dtype=np.float64)
         for j, table in self.loo_tables.items():
-            x[:, j] = [table.means.get(v, table.global_mean) for v in ds.cat_raw[j]]
+            vals = ds.cat_raw[j]
+            x[:, j] = np.fromiter(map(table.means.get, vals, repeat(table.global_mean)),
+                                  np.float64, len(vals))
         return self._finish(ds, x)
 
     def _finish(self, ds: Dataset, x: np.ndarray) -> Dataset:

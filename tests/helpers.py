@@ -1,12 +1,13 @@
 """Shared test utilities: independent oracles and gradient-check plumbing."""
 
+import csv
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from danet import DANet, DANetConfig, entmax15, network, training
+from danet import DANet, DANetConfig, DataError, Dataset, entmax15, network, training
 from danet.entmax import EntmaxResult, entmax15_backward
 from danet.layers import AbstractLayer, AbstractUnit, GhostBatchNorm, Module, relu, sigmoid
 
@@ -429,3 +430,68 @@ def use_reference_step(monkeypatch):
     monkeypatch.setattr(training, "batch_gradients", ref_batch_gradients)
     monkeypatch.setattr(Module, "fixed_params", ref_fixed_params)
     monkeypatch.setattr(DANet, "predict", ref_predict)
+
+
+def ref_load_csv(path, schema, task="class"):
+    """``load_csv`` as the csv module and one cell at a time read it: the
+    reference for the one-pass split path and for every error message."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+            rows = list(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: unreadable CSV: {e}") from None
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    missing = [c for c in schema if c not in header]
+    if missing:
+        raise DataError(f"{path}: schema column(s) missing from CSV header: {missing}")
+    extra = [c for c in header if c not in schema]
+    if extra:
+        raise DataError(f"{path}: CSV column(s) not named in schema: {extra}")
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate CSV header columns")
+
+    target = next(name for name, kind in schema.items() if kind == "target")
+    names = [name for name in header if name != target]
+    kinds = [schema[name] for name in names]
+    checked = [name for name in names if schema[name] == "continuous"] + [target]
+    values = {name: np.zeros(len(rows)) for name in checked}
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise DataError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+        for name in checked:
+            cell = row[header.index(name)]
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(f"row {r}: non-numeric value {cell!r} in continuous "
+                                f"column {name!r}") from None
+            if not np.isfinite(v):
+                raise DataError(f"row {r}: non-finite value {cell!r} in continuous "
+                                f"column {name!r}")
+            values[name][r - 1] = v
+    features = np.zeros((len(rows), len(names)))
+    cat_raw = {}
+    for j, name in enumerate(names):
+        if schema[name] == "continuous":
+            features[:, j] = values[name]
+        else:
+            cat_raw[j] = [row[header.index(name)] for row in rows]
+    targets = values[target]
+    if task == "class":
+        for r, t in enumerate(targets, start=1):
+            if t > 2.0 ** 53:
+                raise DataError(f"row {r}: classification target must be at most 2**53, "
+                                f"got {float(t)!r}")
+            if t < 0 or t != np.round(t):
+                raise DataError(f"row {r}: classification target must be a non-negative "
+                                f"integer, got {float(t)!r}")
+        targets = targets.astype(np.int64)
+    return Dataset(features=features, targets=targets, names=names, kinds=kinds,
+                   task=task, cat_raw=cat_raw)

@@ -1,13 +1,19 @@
 """CSV loading, encoders, splitting, and the synthetic generators."""
 
 import csv
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from danet import (DataError, Dataset, PreprocessState, Rng, load_csv,
                    read_schema, stratified_split, synth_generate, write_csv)
 from danet.data import FORMULAS
+from helpers import ref_load_csv
 
 
 def write(path, text):
@@ -168,6 +174,132 @@ def test_load_csv_rejects_an_overlong_field(tmp_path):
     path = write(tmp_path / "long.csv", "a,y\nx,0\n" + "x" * 131073 + ",1\n")
     with pytest.raises(DataError, match=r"long\.csv: line 3: .*field larger than field limit"):
         load_csv(path, schema)
+
+
+def _outcome(load, path, schema, task):
+    """What a loader makes of a file: the dataset's contents, or its DataError's text."""
+    try:
+        ds = load(path, schema, task=task)
+    except DataError as e:
+        return str(e)
+    return (ds.features.tobytes(), ds.targets.tobytes(), ds.targets.dtype, ds.names,
+            ds.kinds, ds.cat_raw)
+
+
+PARITY_SCHEMA = {"a": "continuous", "b": "categorical", "c": "categorical", "y": "target"}
+# cells every column takes: non-negative integral floats in all of float's spellings
+CLEAN_CELLS = ["0", "1", "2", " 2 ", "1_0", "1e3", "-0.0", "+3", "7"]
+BAD_CELLS = ["1.5", ".5", "-1", "1e20", "9007199254740994", "inf", "nan", "", "x", "0" * 17]
+# digits, float syntax, letters, and every character the csv module treats specially
+PARITY_ALPHABET = "0123456789.e-_ abxyzK,\"\r\n\0"
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text over PARITY_SCHEMA's columns: a clean file (the header in
+    any column order, rows of cells that parse, one kind of line end) with
+    one to three faults, some of them harmless: a bad cell, a cell of any
+    characters, a quoted cell, a ragged or blank row, a cell moved to the
+    next row, another line end, a wrong header, no rows, or a character the
+    csv module treats specially put into a cell."""
+    lines = [draw(st.permutations(list(PARITY_SCHEMA)))]
+    lines += draw(st.lists(st.lists(st.sampled_from(CLEAN_CELLS), min_size=4, max_size=4),
+                           min_size=1, max_size=6))
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    ends[-1] = draw(st.sampled_from([ends[0], ""]))
+    for fault in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3)):
+        r = draw(st.integers(1 if len(lines) > 1 else 0, len(lines) - 1))  # a row if any
+        cells = lines[r]
+        i = draw(st.integers(0, max(len(cells) - 1, 0)))
+        if fault == 0 and cells:
+            cells[i] = draw(st.sampled_from(BAD_CELLS))
+        elif fault == 1 and cells:
+            cells[i] = draw(st.text(PARITY_ALPHABET, max_size=5))
+        elif fault == 2 and cells:
+            cells[i] = '"' + cells[i].replace('"', '""') + '"'
+        elif fault == 3:
+            lines[r] = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        elif fault == 4:
+            lines.insert(r + 1, [])
+            ends.insert(r + 1, ends[r])
+        elif fault == 5:
+            ends[r] = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+        elif fault == 6:
+            lines[0] = draw(st.lists(st.sampled_from(["a", "b", "c", "y", "z", ""]),
+                                     min_size=1, max_size=5))
+        elif fault == 7:
+            del lines[1:], ends[1:]
+        elif fault == 8 and cells and r + 1 < len(lines):
+            lines[r + 1].insert(0, cells.pop())  # two ragged rows, the right cell count
+        elif fault == 9 and cells:
+            k = draw(st.integers(0, len(cells[i])))
+            cells[i] = cells[i][:k] + draw(st.sampled_from('\r\n\0",')) + cells[i][k:]
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+
+
+@pytest.fixture(scope="module")
+def parity_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity") / "d.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts(), task=st.sampled_from(["class", "rank"]),
+       limit=st.sampled_from([6, 16, 131072]))
+# what the split path must leave to the csv module, drawn too rarely to trust to chance:
+@example("a,b,c,y\n1,k\rx,x,0\n", "class", 16)  # a lone \r ends a row for the csv module
+@example("a,b,c,y\n1,k,x,0\r", "class", 16)  # ... and is no part of the last cell
+@example('a,b,c,y\n1,"k",x,0\n', "class", 16)  # quotes are not part of a cell
+@example('a,b,c,y\n1,"k,x",x,0\n', "class", 16)  # ... nor is a comma between them
+@example("a,b,c,y\n1,k,x,0\n\n", "class", 16)  # a blank line is a row of no cells
+@example("a,b,c,y\n1,k,x\n0,1,k,x,0\n", "class", 16)  # two ragged rows of 8 cells
+@example("a,b,c,y\n1,k,x,0\n1,k,xxxxxxxxxxxxxxxxx,0\n", "class", 16)  # a cell over the limit
+@example("a,b,c,y\n1,k,x,0\n1,k,xxxxxxxxxxxx,0\n", "class", 16)  # a line, not a cell, over it
+@example("a,b,c,y\n1,k\0,x,0\n", "class", 16)  # NUL: the csv module refuses it before 3.11
+def test_load_csv_reads_every_text_as_the_csv_module_does(parity_file, text, task, limit):
+    # a small csv.field_size_limit() makes over-limit lines cheap to draw
+    parity_file.write_bytes(text.encode("utf-8"))
+    old = csv.field_size_limit(limit)
+    try:
+        assert (_outcome(load_csv, parity_file, PARITY_SCHEMA, task)
+                == _outcome(ref_load_csv, parity_file, PARITY_SCHEMA, task))
+    finally:
+        csv.field_size_limit(old)
+
+
+def _benchmark_generator(monkeypatch):
+    """``benchmarks/gen.py``, which writes the benchmark workloads' CSVs."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_gen", Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_unquoted_files_never_reach_the_csv_module(tmp_path, monkeypatch):
+    gen = _benchmark_generator(monkeypatch)
+    lf, lf_schema = tmp_path / "lf.csv", tmp_path / "lf.schema"
+    gen.generate(300, 1).write_csv(lf)  # the benchmark workloads' format: LF, no quotes
+    gen.write_schema(lf_schema)
+    crlf = tmp_path / "crlf.csv"
+    synth = synth_generate(2, n=300, seed=4, task="class")
+    synth.kinds[3] = "categorical"
+    synth.cat_raw = {3: [f"k{i % 5}" for i in range(synth.n_rows)]}
+    write_csv(synth, crlf, target_name="y")  # csv.writer: CRLF line ends
+    assert b"\r\n" in crlf.read_bytes() and b"\r\n" not in lf.read_bytes()
+    crlf_schema = {name: kind for name, kind in zip(synth.names, synth.kinds)}
+    crlf_schema["y"] = "target"
+    cases = [(lf, read_schema(lf_schema)), (crlf, crlf_schema)]
+    expected = [_outcome(ref_load_csv, path, schema, "class") for path, schema in cases]
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    for (path, schema), want in zip(cases, expected):
+        got = _outcome(load_csv, path, schema, "class")
+        assert not isinstance(got, str) and got == want
 
 
 def _categorical(values, targets):
@@ -389,6 +521,12 @@ def test_dataset_validation_and_subset():
     assert sub.cat_raw == {1: ["z", "x"]}
     sub.features[0, 0] = 99.0
     assert ds.features[2, 0] == 4.0  # subset copies
+    masked = ds.subset(np.array([True, False, True]))
+    assert np.array_equal(masked.features, [[0.0, 1.0], [4.0, 5.0]])
+    assert masked.cat_raw == {1: ["x", "z"]} and np.array_equal(masked.targets, [1.0, 3.0])
+    for bad in ([0.0, 2.0], [True, False], [[0], [2]]):  # floats, a short mask, 2-D
+        with pytest.raises(DataError, match="integer positions or a boolean mask of 3 rows"):
+            ds.subset(bad)
 
 
 @pytest.mark.parametrize("targets", [np.array([0.0, 1.0, 1.0]), np.array([False, True, True])],

@@ -52,7 +52,7 @@ def test_bn_ghost_chunking_and_running_stats():
 
 
 @pytest.mark.parametrize("ghost", [64, 8])  # one ghost; ghosts of 8 and a tail of 5
-def test_bn_train_forward_and_backward_are_bitwise_the_reference(ghost):
+def test_bn_train_forward_and_backward_are_within_1e_12_of_the_reference(ghost):
     # within 1e-12 of the straight-line reference: the output, the kept
     # normalized input and the running statistics relative to their norms,
     # the three gradients as one flattened vector

@@ -393,7 +393,7 @@ def _two_steps(model, x, y):
 
 
 @pytest.mark.parametrize("task", ["class", "rank"])
-def test_step_is_bitwise_the_straight_line_step(task, monkeypatch):
+def test_step_is_within_1e_12_of_the_straight_line_step(task, monkeypatch):
     # within 1e-12 of the straight-line step: the loss relative to itself,
     # the gradients as one flattened vector (a per-tensor bound would judge
     # a tensor of tiny gradients by its own rounding), the running
@@ -410,7 +410,7 @@ def test_step_is_bitwise_the_straight_line_step(task, monkeypatch):
         _assert_state_close(state, rstate)
 
 
-def test_fit_is_bitwise_the_straight_line_fit(monkeypatch):
+def test_fit_is_within_1e_12_of_the_straight_line_fit(monkeypatch):
     # batches of 12 at ghost 8: every step ends in a 4-row tail ghost. Over
     # 4 epochs the history's epochs, rates and validation metrics are
     # exact and its losses within 1e-12 relative; the kept state is held
