@@ -76,6 +76,10 @@ class Dataset:
             raise DataError(f"Dataset.subset: expected 1-D integer positions or a boolean "
                             f"mask of {self.n_rows} rows, got dtype {idx.dtype} and shape "
                             f"{idx.shape}")
+        out = idx[(idx < -self.n_rows) | (idx >= self.n_rows)]
+        if out.size:
+            raise DataError(f"Dataset.subset: position {int(out[0])} is outside a dataset of "
+                            f"{self.n_rows} rows")
         take = idx.tolist()
         return Dataset(
             features=self.features[idx].copy(),

@@ -21,8 +21,8 @@ ghost a training-mode batch norm is an affine map too, whose statistics
 follow from the ghost's input moments, so a layer folds both into each
 unit's masked weights ghost by ghost (``AbstractLayer.forward``), in single
 calls over its units' stacked weights (``UnitStack``): ``train_ref`` p50
-8608 -> 6836 ms against per-unit folds (README). ``GhostBatchNorm`` stays
-the standalone layer and keeps the running statistics for both.
+8608 -> 6836 ms against per-unit folds (README). ``GhostBatchNorm`` keeps
+the parameters, the running statistics and the eval-mode forward.
 """
 
 from __future__ import annotations
@@ -185,23 +185,16 @@ def centre_ghosts(x: np.ndarray, ghost_size: int, out: np.ndarray | None = None)
     return bounds, xc, means
 
 
-@dataclass
-class BatchNormCtx:
-    bounds: list  # (start, stop) row ranges, one per ghost
-    xc: np.ndarray  # the input minus its ghost's mean
-    inv: list  # per-ghost 1/sqrt(var + eps), each shape (dim,)
-
-
 class GhostBatchNorm(Module):
     """Batch norm over consecutive ghost sub-batches.
 
     In training mode each ghost of ``ghost_size`` rows (the last one may be
-    smaller) is normalized with its own mean and biased variance. Running
-    statistics are an exponential moving average of the per-ghost statistics
-    averaged over ghosts, one step per training forward (or per
-    ``Module.fixed_params`` statement), and are the ones used in eval mode.
-    An abstraction layer folds its units' batch norms into their weights
-    instead, and hands their ghost statistics to ``record``.
+    smaller) is normalized with its own mean and biased variance; the
+    abstraction layer does this, folded into its units' weights, and hands
+    the ghost statistics to ``record``. Running statistics are an
+    exponential moving average of the per-ghost statistics averaged over
+    ghosts, one step per training forward (or per ``Module.fixed_params``
+    statement), and are the ones used in eval mode.
     """
 
     momentum = 0.01  # weight of the newest ghost-averaged statistics
@@ -221,24 +214,17 @@ class GhostBatchNorm(Module):
         self.running_var = np.ones(dim)
         self.updates = 0
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray, train: bool = False):
+        """Eval mode: (x normalized with the running statistics, None). A
+        batch norm trains folded into its unit's weights (``AbstractLayer``),
+        never on its own."""
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(f"GhostBatchNorm: expected (rows, {self.dim}), got {x.shape}")
-        if not train:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            return (x - self.running_mean) * (self.gamma * inv) + self.beta, None
-
-        bounds, xc, means = centre_ghosts(x, self.ghost_size)
-        invs, var_sum = [], 0.0
-        for s, e in bounds:
-            # the biased variance as one-pass column sums of the centred ghost
-            c = xc[s:e]
-            var = np.einsum("ij,ij->j", c, c) / (e - s)
-            invs.append(1.0 / np.sqrt(var + self.eps))
-            var_sum = var_sum + var
-        self.record(sum(means), var_sum, len(bounds))
-        ctx = BatchNormCtx(bounds=bounds, xc=xc, inv=invs)
-        return self.output(ctx), ctx
+        if train:
+            raise RuntimeError("GhostBatchNorm: trains inside its abstraction layer "
+                               "(AbstractLayer.forward), not on its own")
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        return (x - self.running_mean) * (self.gamma * inv) + self.beta, None
 
     def record(self, mean_sum, var_sum, n_ghosts: int):
         """Takes a training forward's ghost means and biased variances, summed
@@ -249,45 +235,12 @@ class GhostBatchNorm(Module):
         for i, value in enumerate((mean_sum, var_sum, n_ghosts)):
             self.pending[i] += value
 
-    def output(self, ctx: BatchNormCtx) -> np.ndarray:
-        """The training-mode output of the forward that made ``ctx``, bit for
-        bit: ``xc * (gamma * inv) + beta``, ghost by ghost."""
-        y = np.empty_like(ctx.xc)
-        for (s, e), inv in zip(ctx.bounds, ctx.inv):
-            ys = np.multiply(ctx.xc[s:e], self.gamma * inv, out=y[s:e])
-            ys += self.beta
-        return y
-
     def update_running(self, mean_sum: np.ndarray, var_sum: np.ndarray, n_ghosts: int):
         """One moving-average step towards the mean of the ghost statistics."""
         m = self.momentum
         self.running_mean = (1.0 - m) * self.running_mean + m * (mean_sum / n_ghosts)
         self.running_var = (1.0 - m) * self.running_var + m * (var_sum / n_ghosts)
         self.updates += 1
-
-    def backward(self, ctx: BatchNormCtx, dy: np.ndarray):
-        """Returns (dx, dgamma, dbeta). Gradients do not flow through the
-        running-statistic buffers.
-
-        Per ghost of n rows, with a = gamma * inv, db = sum(dy) and
-        sxc = sum(dy * xc) over the ghost's rows (dgamma is sxc * inv):
-        dx = a * dy - a * db / n - xc * (a * inv**2 * sxc / n).
-        """
-        dx = np.empty_like(dy)
-        dgamma = np.zeros(self.dim)
-        dbeta = np.zeros(self.dim)
-        for (s, e), inv in zip(ctx.bounds, ctx.inv):
-            n = e - s
-            g, xc = dy[s:e], ctx.xc[s:e]
-            db = g.sum(axis=0)
-            sxc = np.einsum("ij,ij->j", g, xc)
-            a = self.gamma * inv
-            d = np.multiply(g, a, out=dx[s:e])
-            d -= a * db / n
-            d -= xc * (a * inv * inv * sxc / n)
-            dgamma += sxc * inv
-            dbeta += db
-        return dx, dgamma, dbeta
 
     def leaves(self):
         return [("gamma", "bn", self.gamma), ("beta", "bn", self.beta),

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from .layers import AbstractLayer, UnitStack
+from .network import MlpHead, scoring_threads
 from .reparam import compress_model
 
 
@@ -157,7 +161,8 @@ def _ghost_step(model, x, targets, uniforms, scale: float) -> float:
     return loss * scale
 
 
-def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Generator):
+def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Generator,
+                    pool=None):
     """Mean loss and parameter gradients of one training batch, computed one
     ghost at a time.
 
@@ -175,17 +180,280 @@ def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Ge
     backward. The result equals a whole-batch ``forward(train=True)`` and
     ``backward`` up to the order of the sums, while only one ghost's
     activations are alive at a time.
+
+    The ghosts run on ``pool`` (a ``GhostPool``) when given, else on a pool
+    made for this call as wide as ``ghost_pool`` allows; at width 1 they run
+    in this process. The result is the same bits at every width.
     """
+    if pool is not None:
+        return pool.gradients(model, x, targets, rng)
+    with ghost_pool(model, x.shape[0]) as pool:
+        if pool is not None:
+            return pool.gradients(model, x, targets, rng)
     rows, ghost = x.shape[0], model.ghost_size
     uniforms = model.dropout_uniforms(rng, rows)
     loss = 0.0
     with model.fixed_params(), model.summing_grads() as grads:
         for s in range(0, rows, ghost):
-            rs = slice(s, s + ghost)
-            loss += _ghost_step(model, x[rs], targets[rs],
-                                [None if u is None else u[rs] for u in uniforms],
-                                (min(rows, s + ghost) - s) / rows)
+            loss += _ghost_step(model, *_ghost(x, targets, uniforms, s, ghost))
     return loss, grads
+
+
+def _ghost(x, targets, uniforms, s: int, ghost: int):
+    # the rows, targets, dropout uniforms and loss scale of the ghost at row s
+    rows, rs = x.shape[0], slice(s, s + ghost)
+    return (x[rs], targets[rs], [None if u is None else u[rs] for u in uniforms],
+            (min(rows, s + ghost) - s) / rows)
+
+
+_STATS = ("mean", "var")  # a layer's ghost-statistic sums: its UnitStack.stats[0] and [1]
+
+
+def _addends(model) -> list:
+    """(module, key, shape) of each array one ghost adds into the step's open
+    sums, in walk order: each layer's stacked gradients and ghost statistics
+    (keyed as in ``_STATS``) and the head's gradients."""
+    out = []
+    for _, m in model.walk():
+        if isinstance(m, AbstractLayer):
+            ks = (len(m.units), 2 * m.out_dim)
+            out += [(m, "w", ks + (m.in_dim,)), (m, "gamma", ks), (m, "beta", ks)]
+            out += [(m, key, ks) for key in _STATS]
+        elif isinstance(m, MlpHead):
+            out += [(m, name, arr.shape) for name, _, arr in m.leaves()]
+    return out
+
+
+def _stack_layers(layers) -> None:
+    # inside fixed_params: each layer stacks its units' masked weights for
+    # the step, as its first training forward would
+    for layer in layers:
+        layer.mask_cache = UnitStack.of(layer.units)
+
+
+@contextmanager
+def ghost_pool(model, rows: int):
+    """A ``GhostPool`` for the training steps of ``model`` on batches of at
+    most ``rows`` rows, closed on exit, or None where its width would be 1.
+
+    The width is ``network.scoring_threads()``, the rule ``predict`` scores
+    on (the CPUs over the BLAS threads, 1 with BLAS unpinned), capped at the
+    ghosts of a ``rows``-row batch. It is 1 without ``os.fork`` and in a
+    daemonic process (as in a ``multiprocessing.Pool``), which may not have
+    children."""
+    width = min(scoring_threads(), -(-rows // model.ghost_size))
+    if width > 1 and hasattr(os, "fork"):
+        import multiprocessing  # not an import-time cost
+
+        if not multiprocessing.current_process().daemon:
+            pool = GhostPool(model, rows, width)
+            try:
+                yield pool
+            finally:
+                pool.close()
+            return
+    yield None
+
+
+class GhostPool:
+    """``width`` worker processes, forked from this one, that run the ghosts
+    of training steps, and the anonymous shared memory they work in.
+
+    The memory holds the step's parameters (copied in once per step), the
+    batch's rows, targets and dropout uniforms (drawn from the caller's
+    ``rng`` straight into it, in the serial order), and a ring of ``slots``
+    payloads per worker. This process hands each ghost, in ghost order, to
+    the next idle worker with a free slot, so a worker slowed by the rest
+    of the machine takes fewer ghosts instead of holding up the step. A
+    worker writes into the slot one ghost's scaled loss and what its forward
+    and backward add into the step's open sums (``_addends``). This process
+    merges the ghosts in ghost order, whoever ran them and whenever they
+    finished, with the serial step's own additions (the first copies, later
+    ones ``+=``), frees each slot as it merges it, and finishes the
+    gradients and running statistics once, so the step is the serial step
+    bit for bit. Pipes carry only control messages. A worker exits at the
+    end of its pipe, so it outlives neither ``close`` nor a killed parent;
+    its exception is raised here.
+    """
+
+    slots = 3
+
+    def __init__(self, model, rows: int, width: int):
+        import mmap
+        import multiprocessing
+
+        self.width, self.ghost = width, model.ghost_size
+        self.layers = [m for _, m in model.walk() if isinstance(m, AbstractLayer)]
+        self.addends = _addends(model)
+        params = [arr.shape for _, _, arr in model.named_params()]
+        drops = [(rows, b.shortcut.out_dim) for b in model.blocks if b.dropout > 0.0]
+        payload = [(1,)] + [shape for _, _, shape in self.addends]
+        shapes = (params + [(rows, model.n_features), (rows,)] + drops
+                  + payload * (width * self.slots))
+        sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]  # 64-byte aligned
+        self.mem = mmap.mmap(-1, 8 * max(sum(sizes), 1))
+        flat = np.frombuffer(self.mem, dtype=np.float64)
+        offsets = np.cumsum([0] + sizes)
+        views = [flat[o:o + math.prod(shape)].reshape(shape)
+                 for o, shape in zip(offsets, shapes)]
+        n = len(params)
+        self.params, (self.x, self.t), rest = views[:n], views[n:n + 2], views[n + 2:]
+        self.uniforms = [rest.pop(0) if b.dropout > 0.0 else None for b in model.blocks]
+        per = len(payload)
+        self.ring = [rest[i:i + per] for i in range(0, len(rest), per)]
+        self.conns, self.procs = [], []
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for index in range(width):
+                parent_end, child_end = ctx.Pipe()
+                self.conns.append(parent_end)
+                proc = ctx.Process(target=self._serve, args=(model, index, child_end),
+                                   daemon=True, name=f"danet-ghosts-{index}")
+                proc.start()
+                child_end.close()
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def gradients(self, model, x, targets, rng):
+        """``batch_gradients`` of one batch on the workers; any exception
+        closes the pool."""
+        try:
+            return self._gradients(model, x, targets, rng)
+        except BaseException:
+            self.close()
+            raise
+
+    def _gradients(self, model, x, targets, rng):
+        if not self.procs:
+            raise RuntimeError("GhostPool: the pool is closed")
+        rows = x.shape[0]
+        for view, (_, _, arr) in zip(self.params, model.named_params()):
+            view[...] = arr
+        self.x[:rows] = model._check_input(x)
+        targets = np.asarray(targets)
+        self.t.view(targets.dtype)[:rows] = targets
+        for u in self.uniforms:  # in block order, as dropout_uniforms draws them
+            if u is not None:
+                rng.random(out=u[:rows])
+        ghosts = -(-rows // self.ghost)
+        conns = self.conns[:min(self.width, ghosts)]
+        for conn in conns:
+            conn.send((rows, targets.dtype.str))
+        loss = 0.0
+        with model.fixed_params(), model.summing_grads() as grads:
+            _stack_layers(self.layers)
+            for layer in self.layers:
+                for unit, mask in zip(layer.units, layer.mask_cache.masks):
+                    unit.grad_sums["entmax"] = mask  # the mask finished_grads applies
+            for loss_view, *views in self._in_ghost_order(conns, ghosts):
+                loss += float(loss_view[0])
+                for (m, key, _), view in zip(self.addends, views):
+                    if key in _STATS:  # at the first ghost 0.0 + view, a new array
+                        m.mask_cache.stats[_STATS.index(key)] += view
+                    elif key in m.grad_sums:
+                        m.grad_sums[key] += view
+                    else:
+                        m.grad_sums[key] = view.copy()
+                for layer in self.layers:
+                    layer.mask_cache.stats[2] += 1
+        return loss, grads
+
+    def _in_ghost_order(self, conns, ghosts: int):
+        """Yields the payload of each of the step's ``ghosts`` in ghost
+        order, each once its worker has written it; the slot is free again
+        when the caller asks for the next one. Ghosts are handed out in ghost
+        order, one at a time to each idle worker, while a slot is free; once
+        the last is handed out, every worker is told the step is over."""
+        from multiprocessing.connection import wait
+
+        idle, free, slot_of, done = list(conns), list(range(len(self.ring))), {}, set()
+
+        def hand_out():
+            while idle and free and len(slot_of) < ghosts:
+                g = len(slot_of)
+                slot_of[g] = free.pop()
+                idle.pop(0).send((g, slot_of[g]))
+                if len(slot_of) == ghosts:
+                    for conn in conns:
+                        conn.send(None)  # after its last ghost, the worker leaves the step
+
+        hand_out()
+        for g in range(ghosts):
+            while g not in done:
+                for conn in wait([c for c in conns if c not in idle]):
+                    done.add(self._receive(conn, g))
+                    idle.append(conn)
+                hand_out()  # before merging, so no worker waits on it
+            yield self.ring[slot_of[g]]
+            free.append(slot_of[g])
+            hand_out()
+
+    def _receive(self, conn, g: int) -> int:
+        # the ghost a worker reports done; its exception, or its end, raised here
+        try:
+            message = conn.recv()
+        except EOFError:
+            index = self.conns.index(conn)
+            raise TrainingError(f"GhostPool: worker {index} exited while ghost {g} "
+                                f"was awaited") from None
+        if isinstance(message, BaseException):
+            raise message
+        return message
+
+    def _serve(self, model, index: int, conn) -> None:
+        # a worker's loop: a step's shape, then its ghosts one message each
+        # until None, until the pipe ends
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and closes
+        for other in self.conns:  # only the parent holds the parent ends, so EOF reaches us
+            other.close()
+        params = [arr for _, _, arr in model.named_params()]
+        modules = [m for _, m in model.walk()]
+        try:
+            while True:
+                rows, dtype = conn.recv()
+                for arr, view in zip(params, self.params):
+                    arr[...] = view
+                x, t = self.x[:rows], self.t.view(dtype)[:rows]
+                uniforms = [None if u is None else u[:rows] for u in self.uniforms]
+                with model.fixed_params():
+                    _stack_layers(self.layers)
+                    while (job := conn.recv()) is not None:
+                        g, slot = job
+                        for m in modules:
+                            m.grad_sums = {}
+                        for layer in self.layers:
+                            layer.mask_cache.stats = [0.0, 0.0, 0]
+                        loss_view, *views = self.ring[slot]
+                        loss_view[0] = _ghost_step(model, *_ghost(x, t, uniforms,
+                                                                  g * self.ghost, self.ghost))
+                        for (m, key, _), view in zip(self.addends, views):
+                            # a ghost's statistic is 0.0 + its addend, which
+                            # adds to a sum that starts at 0.0 as the addend does
+                            view[...] = (m.mask_cache.stats[_STATS.index(key)] if key in _STATS
+                                         else m.grad_sums[key])
+                        conn.send(g)
+        except (EOFError, OSError):
+            return  # the parent closed the pool or is gone
+        except Exception as exc:  # reported to the parent, which raises it
+            try:
+                conn.send(exc)
+            except Exception:  # it does not pickle
+                conn.send(RuntimeError(f"training worker {index}: {exc!r}"))
+
+    def close(self) -> None:
+        """Ends the workers (they see their pipes end) and waits for them."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        self.conns, self.procs = [], []
 
 
 def evaluate(model, dataset) -> float:
@@ -212,7 +480,8 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
 
     Each epoch reshuffles with the seeded stream (the final short batch is
     kept), computes each batch's gradients ghost by ghost
-    (``batch_gradients``), steps the optimizer at the epoch's decayed rate,
+    (``batch_gradients``, on one ``ghost_pool`` forked for the whole fit and
+    closed on every exit), steps the optimizer at the epoch's decayed rate,
     then scores the validation set with the model's folded twin
     (``compress_model``, equal to the eval-mode model within rounding; every
     batch norm has its statistics after the first step). The parameters (and
@@ -236,34 +505,36 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
     best_state = None
     since_best = 0
 
-    for epoch in range(cfg.max_epochs):
-        lr = lr_at(epoch, cfg)
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start:start + cfg.batch_size]
-            loss, grads = batch_gradients(model, train_set.features[idx],
-                                          train_set.targets[idx], rng)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"fit: non-finite loss {loss} at epoch {epoch}, batch {bi} "
-                    f"(lr={lr:.6g}, batch rows={len(idx)})"
-                )
-            loss_sum += loss * len(idx)
-            opt.step(grads, lr)
-        train_loss = loss_sum / n
-        valid_metric = evaluate(compress_model(model), valid_set)
-        history.append((epoch, lr, train_loss, valid_metric))
-        improved = (valid_metric > best_metric) if task == "class" else (valid_metric < best_metric)
-        if improved:
-            best_metric = valid_metric
-            best_epoch = epoch
-            best_state = model.state_dict()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+    with ghost_pool(model, min(n, cfg.batch_size)) as pool:
+        for epoch in range(cfg.max_epochs):
+            lr = lr_at(epoch, cfg)
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            for bi, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = perm[start:start + cfg.batch_size]
+                loss, grads = batch_gradients(model, train_set.features[idx],
+                                              train_set.targets[idx], rng, pool)
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"fit: non-finite loss {loss} at epoch {epoch}, batch {bi} "
+                        f"(lr={lr:.6g}, batch rows={len(idx)})"
+                    )
+                loss_sum += loss * len(idx)
+                opt.step(grads, lr)
+            train_loss = loss_sum / n
+            valid_metric = evaluate(compress_model(model), valid_set)
+            history.append((epoch, lr, train_loss, valid_metric))
+            improved = (valid_metric > best_metric if task == "class"
+                        else valid_metric < best_metric)
+            if improved:
+                best_metric = valid_metric
+                best_epoch = epoch
+                best_state = model.state_dict()
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
 
     if best_state is not None:
         model.load_state(best_state)

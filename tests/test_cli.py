@@ -314,6 +314,29 @@ def test_eval_prints_the_same_line_with_blas_pinned_or_not(trained, tmp_path, ca
     assert lines[0] == lines[1] and re.fullmatch(r"accuracy=[0-9.]+\n", lines[0])
 
 
+def test_train_writes_the_same_model_with_blas_pinned_or_not(trained, tmp_path):
+    # pinned, each step's ghosts run on a pool of forked workers (one per
+    # CPU), unpinned in one process; both must write the same bytes. The
+    # timeout turns a pool that hangs into a failure
+    root, cfg, _, _, _ = trained
+    env = dict(os.environ)
+    src = str(Path(danet.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("OMP_NUM_THREADS", None)
+    blobs = []
+    for pinned in (True, False):
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if pinned:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        out = tmp_path / f"pinned{pinned}"
+        proc = subprocess.run([sys.executable, "-m", "danet.cli", "train", "--config", str(cfg),
+                               "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        blobs.append(((out / "model.danet").read_bytes(), (out / "history.csv").read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
 def inspect_report(capsys, path):
     """``danet inspect`` output as (mask lines, table rows split into cells)."""
     code, stdout, err = run(capsys, "inspect", "--model", str(path))

@@ -527,6 +527,10 @@ def test_dataset_validation_and_subset():
     for bad in ([0.0, 2.0], [True, False], [[0], [2]]):  # floats, a short mask, 2-D
         with pytest.raises(DataError, match="integer positions or a boolean mask of 3 rows"):
             ds.subset(bad)
+    assert np.array_equal(ds.subset([-3, -1]).targets, [1.0, 3.0])
+    for bad in ([5], [0, -4], [3]):
+        with pytest.raises(DataError, match=f"position {bad[-1]} is outside a dataset of 3 rows"):
+            ds.subset(bad)
 
 
 @pytest.mark.parametrize("targets", [np.array([0.0, 1.0, 1.0]), np.array([False, True, True])],

@@ -2,6 +2,8 @@
 referenced, and every exported name resolves."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,13 @@ def test_every_exported_name_resolves():
     missing = [name for name in danet.__all__ if not hasattr(danet, name)]
     assert not missing, f"danet.__all__ names that do not resolve: {missing}"
     assert len(set(danet.__all__)) == len(danet.__all__)
+
+
+def test_importing_danet_loads_no_pool_machinery():
+    # predict's thread pool and fit's worker processes import their modules
+    # when they make a pool, so `import danet` does not pay for them
+    code = ("import sys, danet, danet.cli; "
+            "print(sorted({'multiprocessing', 'mmap', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC.parent)}, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -9,8 +9,8 @@ import pytest
 from danet import (AbstractLayer, AbstractUnit, GhostBatchNorm, Rng, ShapeError,
                    entmax15, sigmoid)
 from danet.layers import relu
-from helpers import (entmax_margin, finite_diff_grad, gated_value, ref_bn_backward,
-                     ref_bn_forward, ref_layer_backward, rel_err, use_reference_step)
+from helpers import (entmax_margin, finite_diff_grad, gated_value, ref_layer_backward, rel_err,
+                     use_reference_step)
 
 
 def bn_train_oracle(x, gamma, beta, ghost, eps):
@@ -27,62 +27,72 @@ def bn_train_oracle(x, gamma, beta, ghost, eps):
     return y, np.mean(means, axis=0), np.mean(variances, axis=0)
 
 
+# A batch norm trains only inside its abstraction layer, folded into its
+# unit's weights, so the training-mode batch norm is checked through a layer:
+# each unit's gated value q * h2 against q = sigmoid(BN1(f (w1 p)^T)) and
+# h2 = BN2(f (w2 p)^T) from the oracle above, and its running statistics.
+
+def _bn_layer(seed, in_dim, out_dim, branches, ghost):
+    rng = Rng(seed)
+    layer = AbstractLayer(in_dim, out_dim, branches=branches, ghost_size=ghost, rng=rng)
+    for unit in layer.units:
+        unit.mask_logits[:] = rng.standard_normal(in_dim)
+        for bn in (unit.bn1, unit.bn2):
+            bn.gamma[:] = rng.uniform(0.5, 1.5, out_dim)
+            bn.beta[:] = rng.standard_normal(out_dim)
+    return layer, rng
+
+
+def _bn_oracles(unit, f, ghost):
+    p = entmax15(unit.mask_logits).probs
+    return [bn_train_oracle(f @ (w * p).T, bn.gamma, bn.beta, ghost, bn.eps)
+            for w, bn in ((unit.w1, unit.bn1), (unit.w2, unit.bn2))]
+
+
 def test_bn_train_single_ghost_matches_oracle():
-    rng = Rng(0)
-    x = rng.standard_normal((12, 5))
-    bn = GhostBatchNorm(5, ghost_size=12)
-    bn.gamma[:] = rng.uniform(0.5, 1.5, 5)
-    bn.beta[:] = rng.standard_normal(5)
-    y, ctx = bn.forward(x, train=True)
-    expect, _, _ = bn_train_oracle(x, bn.gamma, bn.beta, 12, bn.eps)
-    assert np.max(np.abs(y - expect)) <= 1e-12
-    assert ctx is not None and bn.updates == 1
+    layer, rng = _bn_layer(0, in_dim=5, out_dim=4, branches=2, ghost=12)
+    f = rng.standard_normal((12, 5))
+    oracles = [_bn_oracles(unit, f, 12) for unit in layer.units]
+    _, ctx = layer.forward(f, train=True)
+    for k, ((h1, _, _), (h2, _, _)) in enumerate(oracles):
+        assert np.max(np.abs(gated_value(ctx, k) - sigmoid(h1) * h2)) <= 1e-12
+    assert [bn.updates for _, bn in layer.named_bns()] == [1] * 4
 
 
 def test_bn_ghost_chunking_and_running_stats():
-    rng = Rng(1)
-    x = rng.standard_normal((10, 3)) * 2.0 + 1.0
-    bn = GhostBatchNorm(3, ghost_size=4)
-    y, ctx = bn.forward(x, train=True)
-    expect, mean_of_means, mean_of_vars = bn_train_oracle(x, bn.gamma, bn.beta, 4, bn.eps)
-    assert [e - s for s, e in ctx.bounds] == [4, 4, 2]  # short final ghost kept
-    assert np.max(np.abs(y - expect)) <= 1e-12
-    assert np.max(np.abs(bn.running_mean - 0.01 * mean_of_means)) <= 1e-12
-    assert np.max(np.abs(bn.running_var - (0.99 * 1.0 + 0.01 * mean_of_vars))) <= 1e-12
+    layer, rng = _bn_layer(1, in_dim=3, out_dim=3, branches=2, ghost=4)
+    f = rng.standard_normal((10, 3)) * 2.0 + 1.0
+    oracles = [_bn_oracles(unit, f, 4) for unit in layer.units]
+    _, ctx = layer.forward(f, train=True)
+    assert [bounds for bounds, *_ in ctx.ghosts] == [(0, 4), (4, 8), (8, 10)]  # short tail kept
+    for k, (unit, ((h1, m1, v1), (h2, m2, v2))) in enumerate(zip(layer.units, oracles)):
+        assert np.max(np.abs(gated_value(ctx, k) - sigmoid(h1) * h2)) <= 1e-12
+        for bn, mean_of_means, mean_of_vars in ((unit.bn1, m1, v1), (unit.bn2, m2, v2)):
+            assert np.max(np.abs(bn.running_mean - 0.01 * mean_of_means)) <= 1e-12
+            assert np.max(np.abs(bn.running_var - (0.99 + 0.01 * mean_of_vars))) <= 1e-12
 
 
 @pytest.mark.parametrize("ghost", [64, 8])  # one ghost; ghosts of 8 and a tail of 5
-def test_bn_train_forward_and_backward_are_within_1e_12_of_the_reference(ghost):
-    # within 1e-12 of the straight-line reference: the output, the kept
-    # normalized input and the running statistics relative to their norms,
-    # the three gradients as one flattened vector
+def test_bn_train_forward_and_backward_are_within_1e_12_of_the_reference(ghost, monkeypatch):
+    # the layer's folded batch norms against the straight-line reference's
+    # numpy mean and var, xhat and one-expression backward, on an offset input
     rng = Rng(2)
-    fast = GhostBatchNorm(6, ghost_size=ghost)
-    fast.gamma[:] = rng.uniform(0.5, 1.5, 6)
-    fast.beta[:] = rng.standard_normal(6)
-    slow = copy.deepcopy(fast)
-    x = 3.0 + 5.0 * rng.standard_normal((37, 6))
-    dy = rng.standard_normal((37, 6))
-    y, ctx = fast.forward(x, train=True)
-    ry, rctx = ref_bn_forward(slow, x, True)
-    assert ctx.bounds == rctx.bounds
-    assert rel_err(y, ry) <= 1e-12
-    xhat = np.concatenate([ctx.xc[s:e] * inv for (s, e), inv in zip(ctx.bounds, ctx.inv)])
-    assert rel_err(xhat, rctx.xhat) <= 1e-12
-    assert rel_err(fast.running_mean, slow.running_mean) <= 1e-12
-    assert rel_err(fast.running_var, slow.running_var) <= 1e-12
-    assert fast.updates == slow.updates == 1
-    got, expect = fast.backward(ctx, dy), ref_bn_backward(slow, rctx, dy)
-    assert rel_err(got, expect) <= 1e-12
-    assert fast.output(ctx).tobytes() == y.tobytes()  # the rebuild the unit's backward uses
+    layer = _moment_layer(rng, ghost=ghost)
+    _assert_layer_is_the_reference(layer, 3.0 + 5.0 * rng.standard_normal((37, 6)), monkeypatch)
 
 
 def test_bn_constant_column_trains_to_beta():
-    bn = GhostBatchNorm(2, ghost_size=4)
-    bn.beta[:] = np.array([0.7, -0.3])
-    x = np.ones((8, 2)) * 5.0
-    y, _ = bn.forward(x, train=True)
-    assert np.max(np.abs(y - bn.beta)) <= 1e-9  # zero variance, eps floor
+    # a unit that keeps only column 0, constant in the batch: both batch
+    # norms see zero variance, so h1 and h2 are their betas
+    layer, rng = _bn_layer(3, in_dim=4, out_dim=2, branches=1, ghost=4)
+    unit = layer.units[0]
+    unit.mask_logits[:] = -10.0
+    unit.mask_logits[0] = 10.0
+    f = rng.standard_normal((8, 4))
+    f[:, 0] = 5.0
+    _, ctx = layer.forward(f, train=True)
+    expect = sigmoid(unit.bn1.beta) * unit.bn2.beta
+    assert np.max(np.abs(gated_value(ctx, 0) - expect)) <= 1e-12
 
 
 def test_bn_eval_uses_running_stats():
@@ -100,32 +110,33 @@ def test_bn_eval_uses_running_stats():
 
 
 def test_bn_backward_matches_finite_differences():
-    rng = Rng(3)
+    # the batch-norm gradients and the input gradient through the layer's
+    # folded batch norms, over ghosts of 4, 4 and 2 rows; beta2 = 3 keeps
+    # h2 > 0 (|xhat| <= sqrt(3) in a ghost of 4), so no ReLU kink is near
+    layer, rng = _bn_layer(3, in_dim=3, out_dim=3, branches=2, ghost=4)
+    for unit in layer.units:
+        unit.bn2.gamma[:] = rng.uniform(0.5, 1.0, 3)
+        unit.bn2.beta[:] = 3.0
     x0 = rng.standard_normal((10, 3))
-    bn = GhostBatchNorm(3, ghost_size=4)
-    bn.gamma[:] = rng.uniform(0.5, 1.5, 3)
-    bn.beta[:] = rng.standard_normal(3)
-
-    y, ctx = bn.forward(x0, train=True)
-    dx, dgamma, dbeta = bn.backward(ctx, np.ones_like(y))
+    dout = rng.standard_normal((10, 3))
+    out, ctx = layer.forward(x0, train=True)
+    dx, grads = layer.backward(ctx, dout)
 
     def loss_x(v):
-        out, _ = bn.forward(v.reshape(10, 3), train=True)
-        return float(out.sum())
+        return float((layer.forward(v.reshape(10, 3), train=True)[0] * dout).sum())
 
     fd_x = finite_diff_grad(loss_x, x0.ravel(), h=1e-5).reshape(10, 3)
     assert np.max(np.abs(dx - fd_x)) <= 1e-6
+    for name, arr in ((n, a) for n, kind, a in layer.named_params() if kind == "bn"):
+        def loss_bn(v, arr=arr):
+            keep = arr.copy()
+            arr[:] = v
+            value = float((layer.forward(x0, train=True)[0] * dout).sum())
+            arr[:] = keep
+            return value
 
-    def loss_gamma(g):
-        keep = bn.gamma.copy()
-        bn.gamma[:] = g
-        out, _ = bn.forward(x0, train=True)
-        bn.gamma[:] = keep
-        return float(out.sum())
-
-    fd_g = finite_diff_grad(loss_gamma, bn.gamma, h=1e-5)
-    assert np.max(np.abs(dgamma - fd_g)) <= 1e-6
-    assert np.max(np.abs(dbeta - np.full(3, 10.0))) <= 1e-12
+        fd = finite_diff_grad(loss_bn, arr, h=1e-5)
+        assert np.max(np.abs(grads[name] - fd)) <= 1e-6, name
 
 
 def test_bn_validation():
@@ -136,6 +147,8 @@ def test_bn_validation():
     bn = GhostBatchNorm(3)
     with pytest.raises(ShapeError):
         bn.forward(np.zeros((4, 2)), train=True)
+    with pytest.raises(RuntimeError, match="inside its abstraction layer"):
+        bn.forward(np.zeros((4, 3)), train=True)
 
 
 def unit_eval_oracle(unit, f):

@@ -2,6 +2,9 @@
 
 import copy
 import math
+import multiprocessing as mp
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -272,6 +275,7 @@ def test_fit_stops_after_patience_without_improvement():
 
 
 def test_fit_runs_every_batch_including_the_short_tail(monkeypatch):
+    set_scoring_width(monkeypatch, 1)  # spies in this process see the serial step
     tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=2, patience=10, seed=15)
     model = _toy_model(16)
     train, valid = _toy_sets(Rng(17))  # 40 train rows: batches 16/16/8
@@ -553,6 +557,7 @@ def test_the_mask_cache_does_not_outlive_its_step():
 
 
 def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
+    set_scoring_width(monkeypatch, 1)  # spies in this process see the serial step
     model, x, y = _sparse_mask_case("class", 49)
     state = _state_bytes(model)
     forward, seen = DANet.forward, []
@@ -582,6 +587,7 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
 
 
 def test_each_layer_folds_once_per_ghost_for_all_its_units(monkeypatch):
+    set_scoring_width(monkeypatch, 1)  # spies in this process see the serial step
     # the fold statistics (W S, the variances, inv, a, [a W | beta]) are
     # computed in one call per layer and ghost, not per unit and ghost, and
     # the units are stacked once per step
@@ -729,3 +735,147 @@ def test_history_csv_round_trips_floats(tmp_path):
 def test_fit_result_shape():
     res = FitResult(history=[(0, 0.1, 1.0, 0.5)], best_epoch=0, best_metric=0.5)
     assert res.best_epoch == 0 and res.epochs_run == 1
+
+
+# -- the ghosts of a step on forked workers: the serial step's bits at every
+# width, and no process left behind
+
+def _step_case(task, rows, ghost=8):
+    cfg = DANetConfig(depth=4, k0=2, d0=5, d1=6, dropout=0.3, task=task, num_classes=3)
+    model = DANet(7, cfg, ghost_size=ghost, seed=70)
+    randomize_params(model, Rng(71))
+    rng = Rng(72)
+    x = rng.standard_normal((rows, 7))
+    y = rng.integers(0, 3, rows) if task == "class" else rng.standard_normal(rows)
+    return model, x, y
+
+
+def _step_at(width, monkeypatch, task, rows):
+    set_scoring_width(monkeypatch, width)
+    model, x, y = _step_case(task, rows)
+    rng = Rng(73)
+    loss, grads = batch_gradients(model, x, y, rng)
+    bns = [(bn.running_mean, bn.running_var, bn.updates) for _, bn in model.named_bns()]
+    return loss, grads, bns, rng.random()
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("task, rows", [("class", 44), ("rank", 44), ("class", 12)],
+                         ids=["class-tail", "rank-tail", "fewer-ghosts-than-workers"])
+def test_a_pool_step_is_the_serial_step_bitwise(width, task, rows, monkeypatch):
+    # 44 rows at ghost 8: five ghosts of 8 and a tail of 4; 12 rows: two
+    # ghosts, fewer than three workers
+    loss, grads, bns, after = _step_at(1, monkeypatch, task, rows)
+    got_loss, got_grads, got_bns, got_after = _step_at(width, monkeypatch, task, rows)
+    assert got_loss == loss and got_after == after  # the same rng draws, in order
+    assert list(got_grads) == list(grads)
+    assert all(np.array_equal(got_grads[n], grads[n]) for n in grads)
+    for (mean, var, updates), (got_mean, got_var, got_updates) in zip(bns, got_bns):
+        assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
+        assert got_updates == updates == 1
+    assert not mp.active_children()
+
+
+def test_a_slow_worker_takes_fewer_ghosts_and_the_step_keeps_its_bits(monkeypatch):
+    # worker 0 sleeps through each of its ghosts, so ghost 0 finishes last;
+    # worker 1 takes the ghosts it would have waited for, and the merge still
+    # runs in ghost order
+    loss, grads, bns, after = _step_at(1, monkeypatch, "class", 44)
+    ran, ghost_step = mp.RawArray("i", 2), training._ghost_step
+
+    def slow_first_worker(*args):
+        index = int(mp.current_process().name.rsplit("-", 1)[1])
+        ran[index] += 1
+        if index == 0:
+            time.sleep(0.2)
+        return ghost_step(*args)
+
+    monkeypatch.setattr(training, "_ghost_step", slow_first_worker)
+    got_loss, got_grads, got_bns, got_after = _step_at(2, monkeypatch, "class", 44)
+    assert got_loss == loss and got_after == after
+    assert all(np.array_equal(got_grads[n], grads[n]) for n in grads)
+    for (mean, var, _), (got_mean, got_var, _) in zip(bns, got_bns):
+        assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
+    assert ran[0] + ran[1] == 6 and ran[0] < ran[1]
+    assert not mp.active_children()
+
+
+def _fit_at(width, monkeypatch, task):
+    set_scoring_width(monkeypatch, width)
+    model = _toy_model(74, task=task)
+    train, valid = _toy_sets(Rng(75), task=task)  # 40 rows: batches 16/16/8 of 8-row ghosts
+    res = fit(model, train, valid, TrainConfig(batch_size=16, ghost_size=8, max_epochs=4,
+                                               patience=10, seed=76))
+    return res, model.state_dict()
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("task", ["class", "rank"])
+def test_a_pool_fit_is_the_serial_fit_bitwise(width, task, monkeypatch):
+    res, state = _fit_at(1, monkeypatch, task)
+    got, got_state = _fit_at(width, monkeypatch, task)
+    assert got.history == res.history and got.best_epoch == res.best_epoch
+    for part in ("params", "buffers"):
+        assert all(np.array_equal(got_state[part][n], a) for n, a in state[part].items())
+    assert got_state["counters"] == state["counters"]
+    assert not mp.active_children()
+
+
+def test_a_fit_that_raises_leaves_no_worker(monkeypatch):
+    set_scoring_width(monkeypatch, 2)
+    tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=3, patience=10, seed=77)
+    train, valid = _toy_sets(Rng(78), task="rank")
+    train.targets *= 1e200  # the squared residual overflows on the first batch
+    with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite"):
+        fit(_toy_model(79, task="rank"), train, valid, tcfg)
+    assert not mp.active_children()
+
+    def interrupted(opt, grads, lr):
+        raise KeyboardInterrupt
+
+    train, valid = _toy_sets(Rng(78))
+    monkeypatch.setattr(QhAdam, "step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        fit(_toy_model(79), train, valid, tcfg)
+    assert not mp.active_children()
+
+
+def test_a_worker_exception_is_raised_in_the_parent(monkeypatch):
+    set_scoring_width(monkeypatch, 2)
+    parent, ghost_step = os.getpid(), training._ghost_step
+
+    def failing(model, x, targets, uniforms, scale):
+        if os.getpid() != parent and scale <= 0.5:  # a ghost of a 16-row batch, in a worker
+            raise ValueError("injected worker failure")
+        return ghost_step(model, x, targets, uniforms, scale)
+
+    monkeypatch.setattr(training, "_ghost_step", failing)
+    train, valid = _toy_sets(Rng(80))
+    tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=2, patience=10, seed=81)
+    with pytest.raises(ValueError, match="injected worker failure"):
+        fit(_toy_model(82), train, valid, tcfg)
+    assert not mp.active_children()
+    # a pool that has failed is closed, and says so
+    model, x, y = _step_case("class", 16)
+    with training.ghost_pool(model, 16) as pool:
+        with pytest.raises(ValueError, match="injected"):
+            batch_gradients(model, x, y, Rng(83), pool)
+        with pytest.raises(RuntimeError, match="closed"):
+            batch_gradients(model, x, y, Rng(83), pool)
+    assert not mp.active_children()
+
+
+def test_width_one_makes_no_pool(monkeypatch):
+    set_scoring_width(monkeypatch, 1)
+    model = _toy_model(84)
+    with training.ghost_pool(model, 64) as pool:
+        assert pool is None
+    set_scoring_width(monkeypatch, 4)
+    with training.ghost_pool(model, 8) as pool:  # one ghost
+        assert pool is None
+    with training.ghost_pool(model, 24) as pool:  # three ghosts cap the width
+        assert pool.width == 3 and len(mp.active_children()) == 3
+    assert not mp.active_children()
+    monkeypatch.setattr(mp.current_process(), "daemon", True)  # as in a multiprocessing.Pool
+    with training.ghost_pool(model, 24) as pool:
+        assert pool is None
