@@ -159,6 +159,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         schema = {n: k for n, k in zip(bundle.feature_names, bundle.feature_kinds)}
         schema[bundle.manifest["target"]] = "target"
     ds = load_csv(args.data, schema, task=bundle.model.task)
+    names = bundle.feature_names
+    if names is not None and ds.n_features == len(names) and ds.names != names:
+        if sorted(ds.names) != sorted(names):  # only a --schema can name other columns
+            raise DataError(f"eval: the CSV's feature columns {ds.names} are not the "
+                            f"model's {names}")
+        ds = ds.columns(names)  # scored in the model's column order
     if bundle.preprocess is not None:
         ds = bundle.preprocess.apply(ds)
     if ds.n_features != bundle.model.n_features:
@@ -173,6 +179,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compress(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
+    untrained = [name for name, bn in bundle.model.named_bns() if bn.updates < 1]
+    if untrained:  # its folded twin would fold the initial statistics, not trained ones
+        raise ValueError(f"compress: {untrained[0]} running statistics are unpopulated; "
+                         "train at least one step first")
     cmodel = compress_model(bundle.model)
     save_model(args.out, cmodel, feature_names=bundle.feature_names,
                feature_kinds=bundle.feature_kinds, preprocess=bundle.preprocess,

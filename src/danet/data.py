@@ -90,6 +90,15 @@ class Dataset:
             cat_raw={j: [vals[i] for i in take] for j, vals in self.cat_raw.items()},
         )
 
+    def columns(self, names) -> "Dataset":
+        """The feature columns named ``names``, in that order; ``names``
+        holds each of this dataset's names once, in any order."""
+        order = [self.names.index(n) for n in names]
+        return Dataset(features=self.features[:, order], targets=self.targets,
+                       names=list(names), kinds=[self.kinds[j] for j in order], task=self.task,
+                       cat_raw={j: self.cat_raw[i] for j, i in enumerate(order)
+                                if i in self.cat_raw})
+
 
 SCHEMA_KINDS = ("continuous", "categorical", "target")
 

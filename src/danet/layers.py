@@ -135,37 +135,29 @@ class Module:
 
     @contextmanager
     def fixed_params(self):
-        """For a ``with`` statement over which the parameters stay fixed, as
-        in one optimizer step or one scoring call.
+        """For a ``with`` statement around one training step, over which the
+        parameters stay fixed.
 
-        Each unit computes its mask and masked weights once, in its first
-        forward inside, and each layer stacks them once (``UnitStack``); every
-        later forward and backward reuses them. Training forwards add each
-        batch norm's ghost means and variances up; a normal exit then moves
-        the running statistics of each batch norm that ran in training mode
-        once, from those sums, as one training forward over all the rows
-        would have done. The caches and the sums are dropped on any exit.
+        Each layer stacks its units' masks and masked weights once, in its
+        first training forward inside (``UnitStack``); every later forward
+        and backward of the step reuses the stack, which also sums the
+        ghosts' batch-norm statistics. A normal exit then moves the running
+        statistics of each layer that trained once, from those sums, as one
+        training forward over all the rows would have done. The stacks are
+        dropped on any exit. Scoring needs no such context: ``predict``
+        scores a folded twin.
         """
-        modules = [m for _, m in self.walk()]
-        bns = [m for m in modules if isinstance(m, GhostBatchNorm)]
-        cached = [m for m in modules if isinstance(m, (AbstractUnit, AbstractLayer))]
-        for bn in bns:
-            bn.pending = [0.0, 0.0, 0]  # the first record's += makes the arrays
+        layers = [m for _, m in self.walk() if isinstance(m, AbstractLayer)]
         try:
-            for m in cached:
-                m.mask_cache = ()  # filled by a unit's first masked(), a layer's first stack
+            for layer in layers:
+                layer.mask_cache = ()  # filled by the layer's first training forward
             yield
-            for m in cached:
-                if isinstance(m, AbstractLayer) and m.mask_cache:
-                    m.mask_cache.record(m.units)
-            for bn in bns:
-                if bn.pending[2]:
-                    bn.update_running(*bn.pending)
+            for layer in layers:
+                if layer.mask_cache:
+                    layer.mask_cache.record(layer.units)
         finally:
-            for bn in bns:
-                bn.pending = None
-            for m in cached:
-                m.mask_cache = None
+            for layer in layers:
+                layer.mask_cache = None
 
 
 def centre_ghosts(x: np.ndarray, ghost_size: int, out: np.ndarray | None = None):
@@ -191,7 +183,7 @@ class GhostBatchNorm(Module):
     In training mode each ghost of ``ghost_size`` rows (the last one may be
     smaller) is normalized with its own mean and biased variance; the
     abstraction layer does this, folded into its units' weights, and hands
-    the ghost statistics to ``record``. Running statistics are an
+    the ghost statistics to ``update_running``. Running statistics are an
     exponential moving average of the per-ghost statistics averaged over
     ghosts, one step per training forward (or per ``Module.fixed_params``
     statement), and are the ones used in eval mode.
@@ -199,7 +191,6 @@ class GhostBatchNorm(Module):
 
     momentum = 0.01  # weight of the newest ghost-averaged statistics
     eps = 1e-5  # added to the variance before the square root
-    pending = None  # [mean sum, var sum, ghosts] inside Module.fixed_params
 
     def __init__(self, dim: int, ghost_size: int = 256):
         if dim < 1:
@@ -226,15 +217,6 @@ class GhostBatchNorm(Module):
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         return (x - self.running_mean) * (self.gamma * inv) + self.beta, None
 
-    def record(self, mean_sum, var_sum, n_ghosts: int):
-        """Takes a training forward's ghost means and biased variances, summed
-        over its ``n_ghosts`` ghosts: inside ``Module.fixed_params`` they join
-        the step's sums, elsewhere the running statistics move by them now."""
-        if self.pending is None:
-            return self.update_running(mean_sum, var_sum, n_ghosts)
-        for i, value in enumerate((mean_sum, var_sum, n_ghosts)):
-            self.pending[i] += value
-
     def update_running(self, mean_sum: np.ndarray, var_sum: np.ndarray, n_ghosts: int):
         """One moving-average step towards the mean of the ghost statistics."""
         m = self.momentum
@@ -258,7 +240,6 @@ class AbstractUnit(Module):
     """
 
     CHILDREN = ("bn1", "bn2")
-    mask_cache = None  # inside Module.fixed_params: () until masked() fills it
 
     def __init__(self, in_dim: int, out_dim: int, ghost_size: int, rng: np.random.Generator):
         if in_dim < 1 or out_dim < 1:
@@ -274,16 +255,9 @@ class AbstractUnit(Module):
 
     def masked(self):
         """(mask, [w1; w2] * p) with mask = entmax15(mask_logits) and p its
-        probabilities, computed from the current logits and weights; inside
-        ``Module.fixed_params`` the first call's pair is kept and returned
-        again."""
-        if self.mask_cache:
-            return self.mask_cache
+        probabilities, computed from the current logits and weights."""
         mask = entmax15(self.mask_logits)
-        pair = mask, np.concatenate((self.w1, self.w2)) * mask.probs
-        if self.mask_cache is not None:
-            self.mask_cache = pair
-        return pair
+        return mask, np.concatenate((self.w1, self.w2)) * mask.probs
 
     def forward(self, f: np.ndarray, train: bool):
         """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), W = [w1; w2]
@@ -336,16 +310,10 @@ class UnitStack:
 
     @classmethod
     def of(cls, units) -> UnitStack:
-        """Inside ``Module.fixed_params`` each unit's kept masked weights
-        become a view of the stack, so the step holds one copy of them."""
         masks, ws = zip(*(unit.masked() for unit in units))
-        stack = cls(masks=masks, w=np.stack(ws),
-                    gamma=np.stack([np.concatenate((u.bn1.gamma, u.bn2.gamma)) for u in units]),
-                    beta=np.stack([np.concatenate((u.bn1.beta, u.bn2.beta)) for u in units]))
-        for unit, mask, w in zip(units, masks, stack.w):
-            if unit.mask_cache:
-                unit.mask_cache = mask, w
-        return stack
+        return cls(masks=masks, w=np.stack(ws),
+                   gamma=np.stack([np.concatenate((u.bn1.gamma, u.bn2.gamma)) for u in units]),
+                   beta=np.stack([np.concatenate((u.bn1.beta, u.bn2.beta)) for u in units]))
 
     def fold(self, fc: np.ndarray, mu: np.ndarray):
         """(inv, a, W S, [a W | beta]) of every unit for one ghost of centred
@@ -362,12 +330,12 @@ class UnitStack:
         return inv, a, ws, aw
 
     def record(self, units):
-        """Hands the ghost-statistic sums to the units' batch norms."""
+        """Moves the units' batch-norm running statistics by the sums."""
         mean, var, ghosts = self.stats
         for k, unit in enumerate(units):
             d = unit.out_dim
-            unit.bn1.record(mean[k, :d], var[k, :d], ghosts)
-            unit.bn2.record(mean[k, d:], var[k, d:], ghosts)
+            unit.bn1.update_running(mean[k, :d], var[k, :d], ghosts)
+            unit.bn2.update_running(mean[k, d:], var[k, d:], ghosts)
 
 
 @dataclass

@@ -321,20 +321,20 @@ class DANet(Module):
         the regression scores as a flat vector, scored in blocks of
         ``PREDICT_BLOCK`` rows (one call for an empty input).
 
-        The first block runs in this thread, where a live model masks its
-        weights once for all the blocks. The others run on a pool of
-        ``scoring_threads()`` threads made for this call, which numpy's
-        matmuls and ufuncs let run side by side; each block is scored as
-        it would be alone, so the result does not depend on the width."""
+        A live model scores its folded twin (``reparam.compress_model``,
+        equal to the eval forward within rounding), made for this call. The
+        blocks run on a pool of ``scoring_threads()`` threads made for this
+        call too, which numpy's matmuls and ufuncs let run side by side; each
+        block is scored as it would be alone, so the result does not depend
+        on the width."""
+        from concurrent.futures import ThreadPoolExecutor  # not an import-time cost
+        from .reparam import compress_model  # reparam builds on this module
+
         x = self._check_input(x)
+        model = self if self.compressed else compress_model(self)
         blocks = [x[s:s + PREDICT_BLOCK] for s in range(0, max(x.shape[0], 1), PREDICT_BLOCK)]
-        with self.fixed_params():
-            out = [self.scores(blocks[0])]
-            if len(blocks) > 1:
-                from concurrent.futures import ThreadPoolExecutor  # not an import-time cost
-                with ThreadPoolExecutor(scoring_threads()) as pool:
-                    out += pool.map(self.scores, blocks[1:])
-        out = np.concatenate(out)
+        with ThreadPoolExecutor(scoring_threads()) as pool:
+            out = np.concatenate(list(pool.map(model.scores, blocks)))
         if self.config.task == "class":
             return np.argmax(out, axis=1)
         return out[:, 0]

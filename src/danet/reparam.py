@@ -109,16 +109,12 @@ class CompressedUnit(Module):
 
 
 def compress_unit(unit: AbstractUnit) -> CompressedUnit:
-    """Fold one live unit. Requires populated BN running statistics."""
+    """Fold one live unit, as its eval forward stands. A batch norm that
+    never trained folds its initial statistics (mean 0, variance 1)
+    exactly, so an untrained unit folds too."""
     if not isinstance(unit, AbstractUnit):
         raise ValueError(f"compress_unit: expected a live AbstractUnit, got "
                          f"{type(unit).__name__} (already folded?)")
-    for label, bn in unit.children():
-        if bn.updates < 1:
-            raise ValueError(
-                f"compress_unit: {label} running statistics are unpopulated; "
-                "train at least one step or load trained statistics first"
-            )
     _, w = unit.masked()  # exact mask zeros give exactly-zero columns
     d = unit.out_dim
     return CompressedUnit(a1=np.column_stack(fold_bn(w[:d], unit.bn1)),

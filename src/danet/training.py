@@ -22,7 +22,6 @@ import numpy as np
 
 from .layers import AbstractLayer, UnitStack
 from .network import MlpHead, scoring_threads
-from .reparam import compress_model
 
 
 class TrainingError(RuntimeError):
@@ -172,9 +171,9 @@ def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Ge
     them), then each ghost, the short tail one included, runs forward, loss
     scaled by its share of the rows, and backward, which adds its gradients
     into each module's sums before the next ghost's forward. Inside
-    ``Module.fixed_params`` each unit computes its mask and masked weights
-    once for the step, and each batch norm updates its running statistics
-    once, from the ghost statistics summed in ghost order. Inside
+    ``Module.fixed_params`` each layer stacks its units' masks and masked
+    weights once for the step, and each batch norm updates its running
+    statistics once, from the ghost statistics summed in ghost order. Inside
     ``Module.summing_grads`` the gradients are finished once, after the last
     ghost: each unit masks its summed weight gradients and runs one entmax
     backward. The result equals a whole-batch ``forward(train=True)`` and
@@ -482,11 +481,10 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
     kept), computes each batch's gradients ghost by ghost
     (``batch_gradients``, on one ``ghost_pool`` forked for the whole fit and
     closed on every exit), steps the optimizer at the epoch's decayed rate,
-    then scores the validation set with the model's folded twin
-    (``compress_model``, equal to the eval-mode model within rounding; every
-    batch norm has its statistics after the first step). The parameters (and
-    batch-norm statistics) of the best validation epoch are restored before
-    returning. Stops early after ``patience`` epochs without improvement.
+    then scores the validation set (``evaluate``, whose ``predict`` scores
+    the model's folded twin). The parameters (and batch-norm statistics) of
+    the best validation epoch are restored before returning. Stops early
+    after ``patience`` epochs without improvement.
     """
     n = train_set.features.shape[0]
     if n < 1:
@@ -522,7 +520,7 @@ def fit(model, train_set, valid_set, cfg: TrainConfig) -> FitResult:
                 loss_sum += loss * len(idx)
                 opt.step(grads, lr)
             train_loss = loss_sum / n
-            valid_metric = evaluate(compress_model(model), valid_set)
+            valid_metric = evaluate(model, valid_set)
             history.append((epoch, lr, train_loss, valid_metric))
             improved = (valid_metric > best_metric if task == "class"
                         else valid_metric < best_metric)

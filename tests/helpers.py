@@ -199,7 +199,7 @@ def grad_check_model(model, x, h=1e-5, rel_tol=1e-4, abs_floor=1e-8):
 # unit masks its weights on every forward and again in its backward; every
 # ghost's backward builds each module's gradient dict, and the step adds the
 # ghosts' dicts up; the per-step context pools the batch-norm statistics
-# only, and scoring enters no context.
+# only, and scoring runs the live eval forward block by block, unfolded.
 
 @dataclass
 class RefBatchNormCtx:
@@ -217,8 +217,8 @@ def ref_bn_forward(bn, x, train):
     y = np.empty_like(x)
     xhat = np.empty_like(x)
     inv_stds = []
-    deferred = bn.pending is not None
-    sums = bn.pending if deferred else [np.zeros(bn.dim), np.zeros(bn.dim), 0]
+    deferred = getattr(bn, "ref_sums", None) is not None  # set by ref_fixed_params
+    sums = bn.ref_sums if deferred else [np.zeros(bn.dim), np.zeros(bn.dim), 0]
     for s, e in bounds:
         chunk = x[s:e]
         mu = chunk.mean(axis=0)
@@ -384,14 +384,14 @@ def ref_batch_gradients(model, x, targets, rng, pool=None):
 def ref_fixed_params(model):
     bns = [bn for _, bn in model.named_bns()]
     for bn in bns:
-        bn.pending = [np.zeros(bn.dim), np.zeros(bn.dim), 0]
+        bn.ref_sums = [np.zeros(bn.dim), np.zeros(bn.dim), 0]
     try:
         yield
         for bn in bns:
-            bn.update_running(*bn.pending)
+            bn.update_running(*bn.ref_sums)
     finally:
         for bn in bns:
-            bn.pending = None
+            del bn.ref_sums
 
 
 def ref_predict(model, x):
@@ -420,11 +420,11 @@ def set_scoring_width(monkeypatch, width):
 def use_reference_step(monkeypatch):
     """Swap the straight-line reference in for the fast training step
     (``training.batch_gradients``, which ``fit`` calls) and for scoring:
-    ``fit`` validates the live model, not its folded twin."""
+    ``predict`` scores the live model's eval forward, not its folded twin,
+    so ``fit`` validates the live model."""
     monkeypatch.setattr(GhostBatchNorm, "forward", ref_bn_forward)
     monkeypatch.setattr(AbstractUnit, "forward", ref_unit_forward)
     monkeypatch.setattr(AbstractLayer, "forward", ref_layer_forward)
-    monkeypatch.setattr(training, "compress_model", lambda model: model)
     monkeypatch.setattr(AbstractUnit, "backward", ref_unit_backward)
     monkeypatch.setattr(DANet, "backward", ref_model_backward)
     monkeypatch.setattr(training, "batch_gradients", ref_batch_gradients)

@@ -255,6 +255,40 @@ def test_eval_with_a_schema_narrower_than_the_model_fails_cleanly(trained, tmp_p
     assert "10 feature columns, fit saw 11" in err
 
 
+def _swap_columns(src, dst, a: int, b: int):
+    # the CSV with columns a and b swapped, header and values together
+    rows = [line.split(",") for line in src.read_text().splitlines()]
+    for r in rows:
+        r[a], r[b] = r[b], r[a]
+    dst.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    return rows[0]
+
+
+def test_eval_reads_the_csv_columns_by_name(trained, tmp_path, capsys):
+    _, _, out_dir, data, schema = trained
+    model = str(out_dir / "model.danet")
+    _, line, _ = run(capsys, "eval", "--model", model, "--data", str(data))
+    swapped = tmp_path / "swapped.csv"
+    assert _swap_columns(data, swapped, 0, 3)[:4] == ["v3", "v1", "v2", "v0"]
+    for extra in ((), ("--schema", str(schema))):
+        code, out, err = run(capsys, "eval", "--model", model, "--data", str(swapped), *extra)
+        assert (code, out, err) == (0, line, "")
+
+
+def test_eval_with_a_schema_that_renames_a_column_fails_cleanly(trained, tmp_path, capsys):
+    _, _, out_dir, data, _ = trained
+    rows = [line.split(",") for line in data.read_text().splitlines()]
+    rows[0][0] = "w0"
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    schema = tmp_path / "renamed.schema"
+    schema.write_text("".join(f"{n}=continuous\n" for n in rows[0][:-1]) + "target=target\n")
+    code, out, err = run(capsys, "eval", "--model", str(out_dir / "model.danet"),
+                         "--data", str(renamed), "--schema", str(schema))
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "['w0', 'v1'," in err and "['v0', 'v1'," in err
+
+
 def test_eval_requires_a_schema_from_somewhere(tmp_path, capsys):
     model = DANet(11, DANetConfig(depth=2, k0=1, d0=2, d1=2), seed=0)
     bare = tmp_path / "bare.danet"
@@ -285,6 +319,18 @@ def test_compress_preserves_the_metric(trained, tmp_path, capsys):
     assert code == 1 and "already compressed" in err
     code, stdout, _ = run(capsys, "inspect", "--model", str(small))
     assert code == 0 and stdout.startswith("masks: folded away in a compressed model\n")
+
+
+def test_compress_refuses_a_model_that_never_trained(tmp_path, capsys):
+    # its batch norms still hold their initial statistics; predict folds
+    # them, but a compressed container would keep them for good
+    fresh = tmp_path / "fresh.danet"
+    save_model(fresh, DANet(5, DANetConfig(depth=2, k0=1, d0=2, d1=2), seed=0))
+    out = tmp_path / "small.danet"
+    code, stdout, err = run(capsys, "compress", "--model", str(fresh), "--out", str(out))
+    assert code == 1 and stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "block0.main1.u0.bn1 running statistics are unpopulated" in err
+    assert not out.exists()
 
 
 def test_eval_prints_the_same_line_with_blas_pinned_or_not(trained, tmp_path, capsys):

@@ -164,7 +164,9 @@ def test_rank_predict_returns_flat_scores():
     x = Rng(14).standard_normal((6, 3))
     p = model.predict(x)
     assert p.shape == (6,)
-    assert np.array_equal(p, model.scores(x)[:, 0])
+    # scored through the folded twin, within 1e-10 of the live eval forward
+    assert np.array_equal(p, compress_model(model).scores(x)[:, 0])
+    assert np.max(np.abs(p - model.scores(x)[:, 0])) <= 1e-10
 
 
 def test_eval_forward_is_rowwise_independent():

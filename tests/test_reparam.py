@@ -13,7 +13,7 @@ from danet import (AbstractLayer, BasicBlock, CompressedUnit, ContainerError, DA
                    compress_unit, count_flops, fold_bn, load_model,
                    save_model)
 from danet import network
-from danet.layers import AbstractUnit
+from danet.layers import AbstractUnit, Module
 from danet.reparam import compressed_like
 from helpers import set_scoring_width
 
@@ -67,10 +67,16 @@ def test_compress_unit_reproduces_eval_forward():
     assert cunit.in_dim == 7 and cunit.out_dim == 4
 
 
-def test_compress_unit_requires_populated_stats():
-    unit = AbstractUnit(5, 3, ghost_size=4, rng=Rng(3))
-    with pytest.raises(ValueError, match="unpopulated"):
-        compress_unit(unit)
+def test_a_never_trained_model_folds_to_its_live_scores():
+    # each batch norm folds its initial mean 0 and variance 1, as live
+    # predict of a fresh model needs
+    cfg = DANetConfig(depth=4, k0=2, d0=4, d1=5, task="rank")
+    model = DANet(6, cfg, ghost_size=8, seed=3)
+    assert {bn.updates for _, bn in model.named_bns()} == {0}
+    x = Rng(3).standard_normal((40, 6)) * 2.0
+    cmodel = compress_model(model)
+    assert np.max(np.abs(cmodel.scores(x) - model.scores(x))) <= 1e-10
+    assert np.array_equal(model.predict(x), cmodel.scores(x)[:, 0])
 
 
 def test_masked_out_columns_fold_to_zero_weights():
@@ -178,7 +184,9 @@ def test_compress_model_matches_on_fresh_inputs():
     live = model.scores(x)
     folded = cmodel.scores(x)
     assert np.max(np.abs(live - folded)) <= 1e-10
-    assert np.array_equal(model.predict(x), cmodel.predict(x))
+    # labels from the live eval forward itself: live predict folds as well
+    assert np.array_equal(cmodel.predict(x), np.argmax(live, axis=1))
+    assert np.array_equal(model.predict(x), np.argmax(live, axis=1))
 
 
 def test_a_compressed_model_is_a_danet_with_folded_units():
@@ -232,25 +240,25 @@ def test_predict_in_blocks_equals_one_scores_call(task, monkeypatch):
     block = network.PREDICT_BLOCK
     n = 2 * block + 123  # two full blocks and a short one
     x = rng.standard_normal((n, 6))
+    live, folded = model.scores(x), compress_model(model).scores(x)
+    assert np.max(np.abs(folded - live)) <= 1e-10  # the twin is the live eval forward
     for m in (model, compress_model(model)):
-        whole = m.scores(x)
         got = m.predict(x)
         if task == "class":
-            assert np.array_equal(got, np.argmax(whole, axis=1))
+            assert np.array_equal(got, np.argmax(folded, axis=1))
         else:
-            np.testing.assert_allclose(got, whole[:, 0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got, folded[:, 0], rtol=1e-12, atol=1e-12)
+            assert np.max(np.abs(got - live[:, 0])) <= 1e-10
         empty = m.predict(np.zeros((0, 6)))
         assert empty.shape == (0,)
         with pytest.raises(ShapeError):
             m.predict(np.zeros((n, 5)))
 
-    # on a pool of any width, bitwise the blocks scored one by one; the
-    # first block runs in the calling thread and no pool thread outlives
-    # its call. Threads switch every microsecond, and width 3 can exceed
-    # the cores, to give a race room to show
-    scores, on_main = DANet.scores, []
-    monkeypatch.setattr(DANet, "scores", lambda self, xb: on_main.append(
-        threading.current_thread() is threading.main_thread()) or scores(self, xb))
+    # live or compressed, on a pool of any width, bitwise the folded twin's
+    # blocks scored one by one, and no pool thread outlives its call.
+    # Threads switch every microsecond, and width 3 can exceed the cores,
+    # to give a race room to show
+    scores, twin = DANet.scores, compress_model(model)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -260,14 +268,12 @@ def test_predict_in_blocks_equals_one_scores_call(task, monkeypatch):
                 for rows in (0, 1, block, block + 1, 5 * block + 3):
                     xr = rng.standard_normal((rows, 6))
                     starts = range(0, max(rows, 1), block)
-                    serial = np.concatenate([scores(m, xr[s:s + block]) for s in starts])
+                    serial = np.concatenate([twin.scores(xr[s:s + block]) for s in starts])
                     want = np.argmax(serial, axis=1) if task == "class" else serial[:, 0]
                     threads = threading.active_count()
-                    on_main.clear()
                     got = m.predict(xr)
                     assert threading.active_count() == threads
                     assert got.dtype == want.dtype and np.array_equal(got, want)
-                    assert on_main == [True] + [False] * (len(starts) - 1)
     finally:
         sys.setswitchinterval(switch)
 
@@ -283,6 +289,22 @@ def test_predict_in_blocks_equals_one_scores_call(task, monkeypatch):
     with pytest.raises(FloatingPointError, match="block failed"):
         model.predict(rng.standard_normal((3 * block, 6)))
     assert threading.active_count() == threads
+
+
+def test_scoring_enters_no_training_step_context(monkeypatch):
+    # live and compressed predict score without Module.fixed_params, which
+    # serves the training step only
+    model, rng = _trained_model(18)
+    cmodel = compress_model(model)
+    x = rng.standard_normal((2 * network.PREDICT_BLOCK + 5, 6))
+    want = np.argmax(cmodel.scores(x), axis=1)
+
+    def forbidden(self):
+        raise AssertionError("scoring entered Module.fixed_params")
+
+    monkeypatch.setattr(Module, "fixed_params", forbidden)
+    assert np.array_equal(model.predict(x), want)
+    assert np.array_equal(cmodel.predict(x), want)
 
 
 def test_compressed_model_validates_input():
@@ -362,7 +384,7 @@ def test_folded_matches_live_at_any_row_count_and_width(in_dim):
     for _ in range(3):
         model.forward(rng.standard_normal((16, in_dim)), train=True)
     x = rng.standard_normal((network.PREDICT_BLOCK + 368, in_dim))
-    assert np.max(np.abs(compress_model(model).predict(x) - model.predict(x))) <= 1e-10
+    assert np.max(np.abs(compress_model(model).predict(x) - model.scores(x)[:, 0])) <= 1e-10
 
 
 def test_rank_model_compresses_too():

@@ -14,7 +14,7 @@ from danet import (AbstractUnit, DANet, DANetConfig, Dataset, FitResult, QhAdam,
                    TrainConfig, TrainingError, batch_gradients, compress_model,
                    cross_entropy, entmax15, evaluate, fit, history_to_csv, layers, lr_at,
                    mse, network, stratified_split)
-from danet import training
+from danet import reparam, training
 from danet.entmax import entmax15_backward
 from danet.training import _bias_adj
 from helpers import (finite_diff_grad, make_small_danet, randomize_params, rel_err,
@@ -326,7 +326,7 @@ def test_ghost_by_ghost_step_matches_the_whole_batch_pass(task):
         assert np.abs(a - b).max() <= 1e-15, name
     assert ([bn.updates for _, bn in whole.named_bns()]
             == [bn.updates for _, bn in ghostly.named_bns()] == [1] * 24)
-    assert all(bn.pending is None for _, bn in ghostly.named_bns())
+    _no_step_state(ghostly)
 
 
 def _state_bytes(model):
@@ -344,11 +344,9 @@ def _layers(model):
 
 
 def _no_step_state(model):
-    # no mask, stacked weights, gradient sum or statistic sum of a step
-    # survives it
-    assert all(u.mask_cache is None for u in _units(model))
+    # no layer stack (masks, masked weights and statistic sums) or gradient
+    # sum of a step survives it
     assert all(layer.mask_cache is None for layer in _layers(model))
-    assert all(bn.pending is None for _, bn in model.named_bns())
     assert all(m.grad_sums is None for _, m in model.walk())
 
 
@@ -468,8 +466,10 @@ def test_whole_batch_training_pass_is_the_straight_line_pass(monkeypatch):
 
 
 def test_fit_validates_each_epoch_on_the_folded_model(monkeypatch):
+    # predict, through evaluate, folds the live model; it looks the fold up
+    # on reparam at each call
     folds = []
-    monkeypatch.setattr(training, "compress_model",
+    monkeypatch.setattr(reparam, "compress_model",
                         lambda model: folds.append(model) or compress_model(model))
     tcfg = TrainConfig(batch_size=16, ghost_size=8, max_epochs=3, patience=10, seed=55)
     model = _toy_model(56)
@@ -495,55 +495,55 @@ def test_a_folded_validation_metric_is_the_live_metric(task):
 
 
 def test_each_unit_masks_once_per_step_and_per_scoring_call(monkeypatch):
+    set_scoring_width(monkeypatch, 1)  # spies in this process see the serial step
     model, x, y = _sparse_mask_case("class", 45)
-    calls, backward_calls = [], []
+    calls, backward_calls, folds = [], [], []
     monkeypatch.setattr(layers, "entmax15", lambda z: calls.append(z) or entmax15(z))
     monkeypatch.setattr(layers, "entmax15_backward",
                         lambda r, g: backward_calls.append(g) or entmax15_backward(r, g))
     with model.fixed_params():
-        assert not calls  # a unit masks in its first forward, not on entry
+        assert not calls  # a layer stacks its units in its first forward, not on entry
     batch_gradients(model, x, y, Rng(46))  # five ghosts
     assert len(calls) == len(_units(model))
     # the mask gradient is finished once per step, not once per ghost
     assert len(backward_calls) == len(_units(model))
-    calls.clear()
+    # a scoring call masks each unit once, in the fold of its twin, however
+    # many blocks it scores and on whatever width
+    monkeypatch.setattr(reparam, "compress_model",
+                        lambda model: folds.append(model) or compress_model(model))
     monkeypatch.setattr(network, "PREDICT_BLOCK", 4)
     state = _state_bytes(model)
-    model.predict(x)  # ten blocks
-    assert len(calls) == len(_units(model))
-    assert _state_bytes(model) == state  # scoring moves no running statistic
-    calls.clear()
-    model.predict(x[:4])  # one block
-    assert len(calls) == len(_units(model))
-    calls.clear()
-    set_scoring_width(monkeypatch, 2)
-    model.predict(x)  # ten blocks, nine of them on a pool of two
-    assert len(calls) == len(_units(model))
-    assert _state_bytes(model) == state
+    for rows, width in ((37, 1), (4, 1), (37, 2)):  # ten blocks, one, ten on a pool of two
+        set_scoring_width(monkeypatch, width)
+        calls.clear()
+        folds.clear()
+        model.predict(x[:rows])
+        assert len(calls) == len(_units(model)) and folds == [model]
+        assert _state_bytes(model) == state  # scoring moves no running statistic
 
 
 def test_a_step_keeps_one_copy_of_the_masked_weights():
-    # inside a step each unit's kept masked weights are a view of its
-    # layer's stack, with the values a fresh masking gives
+    # inside a step each layer's stack holds its units' masks and masked
+    # weights, with the values a fresh masking gives; the units keep none
     model, x, _ = _sparse_mask_case("class", 67)
     with model.fixed_params():
         model.forward(x, train=True, rng=Rng(68))
         for layer in _layers(model):
+            stack = layer.mask_cache
             for k, unit in enumerate(layer.units):
-                mask, w = unit.masked()
-                assert mask is layer.mask_cache.masks[k]
-                assert np.shares_memory(w, layer.mask_cache.w)
-                assert np.array_equal(w, layer.mask_cache.w[k])
-                fresh = np.concatenate((unit.w1, unit.w2)) * entmax15(unit.mask_logits).probs
-                assert np.array_equal(w, fresh)
+                mask = entmax15(unit.mask_logits)
+                assert np.array_equal(stack.masks[k].probs, mask.probs)
+                assert np.array_equal(stack.w[k], np.concatenate((unit.w1, unit.w2)) * mask.probs)
+                held = [a for v in vars(unit).values()
+                        for a in (v if isinstance(v, tuple) else (v,))]
+                assert not any(isinstance(a, np.ndarray) and np.shares_memory(a, stack.w)
+                               for a in held)
     _no_step_state(model)
 
 
 def test_the_mask_cache_does_not_outlive_its_step():
     model, x, y = _sparse_mask_case("class", 47)
     batch_gradients(model, x, y, Rng(48))
-    assert all(u.mask_cache is None for u in _units(model))
-    assert all(bn.pending is None for _, bn in model.named_bns())
     _no_step_state(model)
     # new logits reach the next call: feature 0 alone is kept
     unit = model.blocks[0].main1.units[0]
@@ -565,7 +565,6 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
     def fails_on_the_third_ghost(self, *args, **kwargs):
         seen.append(len(seen) + 1)
         if len(seen) == 3:
-            assert all(u.mask_cache for u in _units(self))  # filled by ghost 1
             assert all(u.grad_sums for u in _units(self))  # ghosts 1 and 2 added theirs
             # each layer's weights stacked by ghost 1; its gradient and
             # statistic sums hold ghosts 1 and 2
@@ -579,8 +578,6 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
     with pytest.raises(RuntimeError, match="ghost 3 failed"):
         batch_gradients(model, x, y, Rng(50))
     assert seen == [1, 2, 3]
-    assert all(u.mask_cache is None for u in _units(model))
-    assert all(bn.pending is None for _, bn in model.named_bns())
     assert all(m.grad_sums is None for _, m in model.walk())  # every gradient sum dropped
     assert _state_bytes(model) == state  # no running statistic moved
     _no_step_state(model)
