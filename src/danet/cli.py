@@ -107,6 +107,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         if getattr(cfg, key) in (None, ""):
             raise ConfigError(f"train: --{key} (or config key '{key}') is required")
     train_cfg = _build(TrainConfig, cfg)  # its checks (the seed's too) come first
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
     schema = read_schema(cfg.schema)
     ds = load_csv(cfg.data, schema, task=cfg.task)
     num_classes = 2
@@ -128,8 +130,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = DANet(train_set.n_features, net_cfg, ghost_size=cfg.ghost_size, seed=cfg.seed)
     result = fit(model, train_set, valid_set, train_cfg)
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     target_name = next(n for n, k in schema.items() if k == "target")
     save_model(out_dir / "model.danet", model, feature_names=ds.names,
                feature_kinds=ds.kinds, preprocess=pp, target_name=target_name)

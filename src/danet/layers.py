@@ -108,10 +108,11 @@ class Module:
     def summing_grads(self):
         """For a ``with`` statement around a backward pass or a training step.
 
-        Backward passes add their gradients into the sums of the modules
-        they cover. If this node's sums are open already (inside a step, or
-        inside a parent's backward), the yielded dict stays empty and whoever
-        opened them finishes them. Otherwise this opens the sums of this node
+        Backward passes add their gradients, and training forwards their
+        layers' ghost statistics, into the sums of the modules they cover.
+        If this node's sums are open already (inside a step, or inside a
+        parent's backward), the yielded dict stays empty and whoever opened
+        them finishes them. Otherwise this opens the sums of this node
         and every descendant whose sums are not open, and a normal exit
         fills the yielded dict with the finished gradients, keyed and ordered
         as ``named_params``. The sums it opened are dropped on any exit.
@@ -138,23 +139,16 @@ class Module:
         """For a ``with`` statement around one training step, over which the
         parameters stay fixed.
 
-        Each layer stacks its units' masks and masked weights once, in its
-        first training forward inside (``UnitStack``); every later forward
-        and backward of the step reuses the stack, which also sums the
-        ghosts' batch-norm statistics. A normal exit then moves the running
-        statistics of each layer that trained once, from those sums, as one
-        training forward over all the rows would have done. The stacks are
-        dropped on any exit. Scoring needs no such context: ``predict``
-        scores a folded twin.
+        On entry each layer stacks its units' masks and masked weights
+        (``UnitStack``), which every forward and backward of the step reuses;
+        the stacks are dropped on any exit. Scoring needs no such context:
+        ``predict`` scores a folded twin.
         """
         layers = [m for _, m in self.walk() if isinstance(m, AbstractLayer)]
         try:
             for layer in layers:
-                layer.mask_cache = ()  # filled by the layer's first training forward
+                layer.mask_cache = UnitStack.of(layer.units)
             yield
-            for layer in layers:
-                if layer.mask_cache:
-                    layer.mask_cache.record(layer.units)
         finally:
             for layer in layers:
                 layer.mask_cache = None
@@ -185,8 +179,9 @@ class GhostBatchNorm(Module):
     abstraction layer does this, folded into its units' weights, and hands
     the ghost statistics to ``update_running``. Running statistics are an
     exponential moving average of the per-ghost statistics averaged over
-    ghosts, one step per training forward (or per ``Module.fixed_params``
-    statement), and are the ones used in eval mode.
+    ghosts, one step per training forward, or per ``Module.summing_grads``
+    statement that holds the layer's sums open around its forwards, and are
+    the ones used in eval mode.
     """
 
     momentum = 0.01  # weight of the newest ghost-averaged statistics
@@ -299,14 +294,12 @@ class AbstractUnit(Module):
 
 @dataclass
 class UnitStack:
-    """A layer's K units stacked for the training-mode fold, once per step,
-    and the sums of their ghost statistics."""
+    """A layer's K units stacked for the training-mode fold, once per step."""
 
     masks: tuple  # each unit's EntmaxResult
     w: np.ndarray  # (K, 2 * out_dim, in_dim): each unit's [w1; w2] * p
     gamma: np.ndarray  # (K, 2 * out_dim): each unit's [bn1.gamma, bn2.gamma]
     beta: np.ndarray  # (K, 2 * out_dim): each unit's [bn1.beta, bn2.beta]
-    stats: list = field(default_factory=lambda: [0.0, 0.0, 0])  # mean sum, var sum, ghosts
 
     @classmethod
     def of(cls, units) -> UnitStack:
@@ -316,26 +309,16 @@ class UnitStack:
                    beta=np.stack([np.concatenate((u.bn1.beta, u.bn2.beta)) for u in units]))
 
     def fold(self, fc: np.ndarray, mu: np.ndarray):
-        """(inv, a, W S, [a W | beta]) of every unit for one ghost of centred
-        input fc and column means mu; its means W mu and variances are summed."""
+        """((inv, a, W S, [a W | beta]), (W mu, variances)) of every unit for
+        one ghost of centred input fc and column means mu: the fold, and the
+        ghost's batch-norm statistics."""
         w = self.w
         ws = np.matmul(w.reshape(-1, w.shape[2]), fc.T @ fc).reshape(w.shape)
         var = np.einsum("kij,kij->ki", ws, w) / fc.shape[0]
         inv = 1.0 / np.sqrt(var + GhostBatchNorm.eps)
         a = self.gamma * inv
         aw = np.concatenate((a[..., None] * w, self.beta[..., None]), axis=2)
-        self.stats[0] += w @ mu
-        self.stats[1] += var
-        self.stats[2] += 1
-        return inv, a, ws, aw
-
-    def record(self, units):
-        """Moves the units' batch-norm running statistics by the sums."""
-        mean, var, ghosts = self.stats
-        for k, unit in enumerate(units):
-            d = unit.out_dim
-            unit.bn1.update_running(mean[k, :d], var[k, :d], ghosts)
-            unit.bn2.update_running(mean[k, d:], var[k, d:], ghosts)
+        return (inv, a, ws, aw), (w @ mu, var)
 
 
 @dataclass
@@ -344,7 +327,7 @@ class LayerCtx:
     stack: UnitStack  # the units' masks and stacked weights
     xa: np.ndarray  # (rows, in_dim + 1): [fc / 2 | 1 / 2]
     z: np.ndarray  # (K, 2, rows, out_dim): per unit tanh(h1 / 2) + 1 = 2 q, and h2 / 2
-    ghosts: list  # per ghost ((start, stop), *UnitStack.fold)
+    ghosts: list  # per ghost ((start, stop), inv, a, W S, [a W | beta])
     used: bool = field(default=False)
 
 
@@ -352,7 +335,7 @@ class AbstractLayer(Module):
     """K parallel abstraction branches fused by elementwise sum; in a
     compressed model the branches are folded units."""
 
-    mask_cache = None  # inside Module.fixed_params: () until a training forward stacks the units
+    mask_cache = None  # inside Module.fixed_params: the step's UnitStack
 
     def __init__(self, in_dim: int, out_dim: int, branches: int, ghost_size: int,
                  rng: np.random.Generator):
@@ -391,14 +374,16 @@ class AbstractLayer(Module):
         xa[:, -1] = 0.5
         bounds, fc, means = centre_ghosts(f, unit.bn1.ghost_size, out=xa[:, :-1])
         stack = self.mask_cache or UnitStack.of(units)
-        if self.mask_cache is not None:  # inside fixed_params: kept for the step
-            self.mask_cache = stack
-        ghosts = []
+        ghosts, mean, var = [], 0.0, 0.0
         for (s, e), mu in zip(bounds, means):
-            ghosts.append(((s, e), *stack.fold(fc[s:e], mu)))
+            fold, (wmu, v) = stack.fold(fc[s:e], mu)
+            ghosts.append(((s, e), *fold))
+            mean, var = mean + wmu, var + v
             fc[s:e] *= 0.5
-        if stack is not self.mask_cache:
-            stack.record(units)  # outside a step the running statistics move now
+        if self.grad_sums is not None:  # inside open sums: finished_grads records them
+            self.add_grads(mean=mean, var=var, ghosts=len(bounds))
+        else:  # outside open sums the running statistics move now
+            self.record(mean, var, len(bounds))
         z = np.empty((len(units), 2, f.shape[0], self.out_dim))
         total = None
         for j, zj in enumerate(z):  # each unit's own matmuls and gate
@@ -462,10 +447,22 @@ class AbstractLayer(Module):
                 self.add_grads(w=dw, gamma=sxc * inv, beta=db.copy())  # not a view of pd
         return df, grads
 
+    def record(self, mean, var, ghosts) -> None:
+        """Moves the units' batch-norm running statistics by sums of their
+        ghosts' means W mu and variances, each (K, 2 * out_dim), over
+        ``ghosts`` ghosts."""
+        d = self.out_dim
+        for k, unit in enumerate(self.units):
+            unit.bn1.update_running(mean[k, :d], var[k, :d], ghosts)
+            unit.bn2.update_running(mean[k, d:], var[k, d:], ghosts)
+
     def finished_grads(self) -> dict:
-        """Hands the stacked sums to the units and batch norms, which the
-        walk finishes next; a layer has no tensors of its own."""
+        """Records the summed ghost statistics, if the sums hold any, and
+        hands the stacked gradient sums to the units and batch norms, which
+        the walk finishes next; a layer has no tensors of its own."""
         sums, d = self.grad_sums, self.out_dim
+        if "mean" in sums:
+            self.record(sums["mean"], sums["var"], sums["ghosts"])
         for k, unit in enumerate(self.units):
             unit.add_grads(w1=sums["w"][k, :d], w2=sums["w"][k, d:])
             unit.bn1.add_grads(gamma=sums["gamma"][k, :d], beta=sums["beta"][k, :d])

@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .layers import AbstractLayer, UnitStack
+from .layers import AbstractLayer
 from .network import MlpHead, scoring_threads
 
 
@@ -170,12 +170,13 @@ def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Ge
     ``rng`` first (in block order, as a whole-batch training forward draws
     them), then each ghost, the short tail one included, runs forward, loss
     scaled by its share of the rows, and backward, which adds its gradients
-    into each module's sums before the next ghost's forward. Inside
+    into each module's sums before the next ghost's forward; each layer's
+    forward adds its ghost's batch-norm statistics there too. Inside
     ``Module.fixed_params`` each layer stacks its units' masks and masked
-    weights once for the step, and each batch norm updates its running
-    statistics once, from the ghost statistics summed in ghost order. Inside
-    ``Module.summing_grads`` the gradients are finished once, after the last
-    ghost: each unit masks its summed weight gradients and runs one entmax
+    weights once for the step. Inside ``Module.summing_grads`` the sums are
+    finished once, after the last ghost: each layer moves its batch norms'
+    running statistics once, from the ghost statistics summed in ghost order,
+    and each unit masks its summed weight gradients and runs one entmax
     backward. The result equals a whole-batch ``forward(train=True)`` and
     ``backward`` up to the order of the sums, while only one ghost's
     activations are alive at a time.
@@ -205,29 +206,20 @@ def _ghost(x, targets, uniforms, s: int, ghost: int):
             (min(rows, s + ghost) - s) / rows)
 
 
-_STATS = ("mean", "var")  # a layer's ghost-statistic sums: its UnitStack.stats[0] and [1]
-
-
 def _addends(model) -> list:
     """(module, key, shape) of each array one ghost adds into the step's open
-    sums, in walk order: each layer's stacked gradients and ghost statistics
-    (keyed as in ``_STATS``) and the head's gradients."""
+    sums, in walk order: each layer's stacked gradients ``w``, ``gamma`` and
+    ``beta``, its ghost statistics ``mean`` and ``var`` and their count
+    ``ghosts``, and the head's gradients."""
     out = []
     for _, m in model.walk():
         if isinstance(m, AbstractLayer):
             ks = (len(m.units), 2 * m.out_dim)
-            out += [(m, "w", ks + (m.in_dim,)), (m, "gamma", ks), (m, "beta", ks)]
-            out += [(m, key, ks) for key in _STATS]
+            out += [(m, "w", ks + (m.in_dim,)), (m, "ghosts", (1,))]
+            out += [(m, key, ks) for key in ("gamma", "beta", "mean", "var")]
         elif isinstance(m, MlpHead):
             out += [(m, name, arr.shape) for name, _, arr in m.leaves()]
     return out
-
-
-def _stack_layers(layers) -> None:
-    # inside fixed_params: each layer stacks its units' masked weights for
-    # the step, as its first training forward would
-    for layer in layers:
-        layer.mask_cache = UnitStack.of(layer.units)
 
 
 @contextmanager
@@ -265,14 +257,15 @@ class GhostPool:
     the next idle worker with a free slot, so a worker slowed by the rest
     of the machine takes fewer ghosts instead of holding up the step. A
     worker writes into the slot one ghost's scaled loss and what its forward
-    and backward add into the step's open sums (``_addends``). This process
-    merges the ghosts in ghost order, whoever ran them and whenever they
-    finished, with the serial step's own additions (the first copies, later
-    ones ``+=``), frees each slot as it merges it, and finishes the
-    gradients and running statistics once, so the step is the serial step
-    bit for bit. Pipes carry only control messages. A worker exits at the
-    end of its pipe, so it outlives neither ``close`` nor a killed parent;
-    its exception is raised here.
+    and backward add into the step's open sums (``_addends``: gradients,
+    batch-norm statistics and their ghost count). This process merges the
+    ghosts in ghost order, whoever ran them and whenever they finished, with
+    the serial step's own additions (the first copies, later ones ``+=``),
+    frees each slot as it merges it, and finishes the sums once, which moves
+    the running statistics, so the step is the serial step bit for bit.
+    Pipes carry only control messages. A worker exits at the end of its
+    pipe, so it outlives neither ``close`` nor a killed parent; its
+    exception is raised here.
     """
 
     slots = 3
@@ -342,21 +335,16 @@ class GhostPool:
             conn.send((rows, targets.dtype.str))
         loss = 0.0
         with model.fixed_params(), model.summing_grads() as grads:
-            _stack_layers(self.layers)
             for layer in self.layers:
                 for unit, mask in zip(layer.units, layer.mask_cache.masks):
                     unit.grad_sums["entmax"] = mask  # the mask finished_grads applies
             for loss_view, *views in self._in_ghost_order(conns, ghosts):
                 loss += float(loss_view[0])
                 for (m, key, _), view in zip(self.addends, views):
-                    if key in _STATS:  # at the first ghost 0.0 + view, a new array
-                        m.mask_cache.stats[_STATS.index(key)] += view
-                    elif key in m.grad_sums:
+                    if key in m.grad_sums:
                         m.grad_sums[key] += view
                     else:
                         m.grad_sums[key] = view.copy()
-                for layer in self.layers:
-                    layer.mask_cache.stats[2] += 1
         return loss, grads
 
     def _in_ghost_order(self, conns, ghosts: int):
@@ -419,21 +407,15 @@ class GhostPool:
                 x, t = self.x[:rows], self.t.view(dtype)[:rows]
                 uniforms = [None if u is None else u[:rows] for u in self.uniforms]
                 with model.fixed_params():
-                    _stack_layers(self.layers)
                     while (job := conn.recv()) is not None:
                         g, slot = job
                         for m in modules:
                             m.grad_sums = {}
-                        for layer in self.layers:
-                            layer.mask_cache.stats = [0.0, 0.0, 0]
                         loss_view, *views = self.ring[slot]
                         loss_view[0] = _ghost_step(model, *_ghost(x, t, uniforms,
                                                                   g * self.ghost, self.ghost))
                         for (m, key, _), view in zip(self.addends, views):
-                            # a ghost's statistic is 0.0 + its addend, which
-                            # adds to a sum that starts at 0.0 as the addend does
-                            view[...] = (m.mask_cache.stats[_STATS.index(key)] if key in _STATS
-                                         else m.grad_sums[key])
+                            view[...] = m.grad_sums[key]
                         conn.send(g)
         except (EOFError, OSError):
             return  # the parent closed the pool or is gone
@@ -457,6 +439,8 @@ class GhostPool:
 
 def evaluate(model, dataset) -> float:
     """Accuracy for classification, mean squared error for regression."""
+    if dataset.n_rows < 1:
+        raise ValueError("evaluate: empty dataset (0 rows), no metric to compute")
     preds = model.predict(dataset.features)
     if model.task == "class":
         return float(np.mean(preds == dataset.targets))

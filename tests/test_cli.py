@@ -530,6 +530,19 @@ def test_train_rejects_a_validation_split_that_rounds_to_zero(tmp_path, capsys):
         assert not (tmp_path / "run" / "model.danet").exists()
 
 
+def test_train_fails_on_an_unusable_out_before_it_trains(trained, tmp_path, capsys,
+                                                         monkeypatch):
+    # an --out that names a file fails at once, not after the whole fit
+    _, cfg, _, _, _ = trained
+    reached = []
+    monkeypatch.setattr(danet.cli, "fit", lambda *a: reached.append(a) or 1 / 0)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(out))
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err and not reached
+
+
 def test_missing_files_exit_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--model", str(tmp_path / "nope.danet"),
                        "--data", str(tmp_path / "nope.csv"))

@@ -204,6 +204,11 @@ def test_evaluate_hand_checks():
     ds2 = Dataset(features=np.zeros((3, 2)), targets=np.array([0.0, 2.0, 1.0]),
                   names=["a", "b"], kinds=["continuous"] * 2, task="rank")
     assert evaluate(RankStub(), ds2) == pytest.approx((1.0 + 0.0 + 9.0) / 3.0)
+    # no rows, no metric: a typed error, not numpy's mean of nothing (nan)
+    empty = Dataset(features=np.zeros((0, 3)), targets=np.zeros(0, dtype=np.int64),
+                    names=["a", "b", "c"], kinds=["continuous"] * 3, task="class")
+    with pytest.raises(ValueError, match="evaluate: empty dataset"):
+        evaluate(ClassStub(), empty)
 
 
 def _toy_sets(rng, n=48, task="class"):
@@ -344,8 +349,8 @@ def _layers(model):
 
 
 def _no_step_state(model):
-    # no layer stack (masks, masked weights and statistic sums) or gradient
-    # sum of a step survives it
+    # no layer stack (masks and masked weights) or sum (gradients and ghost
+    # statistics) of a step survives it
     assert all(layer.mask_cache is None for layer in _layers(model))
     assert all(m.grad_sums is None for _, m in model.walk())
 
@@ -501,8 +506,11 @@ def test_each_unit_masks_once_per_step_and_per_scoring_call(monkeypatch):
     monkeypatch.setattr(layers, "entmax15", lambda z: calls.append(z) or entmax15(z))
     monkeypatch.setattr(layers, "entmax15_backward",
                         lambda r, g: backward_calls.append(g) or entmax15_backward(r, g))
-    with model.fixed_params():
-        assert not calls  # a layer stacks its units in its first forward, not on entry
+    with model.fixed_params():  # each layer stacks its units on entry, before any forward
+        assert all(isinstance(layer.mask_cache, layers.UnitStack) for layer in _layers(model))
+        assert len(calls) == len(_units(model))
+    _no_step_state(model)
+    calls.clear()
     batch_gradients(model, x, y, Rng(46))  # five ghosts
     assert len(calls) == len(_units(model))
     # the mask gradient is finished once per step, not once per ghost
@@ -520,6 +528,38 @@ def test_each_unit_masks_once_per_step_and_per_scoring_call(monkeypatch):
         model.predict(x[:rows])
         assert len(calls) == len(_units(model)) and folds == [model]
         assert _state_bytes(model) == state  # scoring moves no running statistic
+
+
+def test_open_sums_move_the_running_statistics_once_when_they_finish():
+    # a training forward inside open sums adds its ghosts' statistics to the
+    # layer's sums; a normal exit moves each batch norm once by all of them,
+    # a raising one moves none
+    model, x, _ = _sparse_mask_case("class", 73)  # 37 rows: five ghosts
+    bns = [bn for _, bn in model.named_bns()]
+    state = _state_bytes(model)
+    with pytest.raises(RuntimeError, match="step failed"):
+        with model.summing_grads():
+            model.forward(x, train=True, rng=Rng(74))
+            raise RuntimeError("step failed")
+    assert _state_bytes(model) == state
+    with model.summing_grads():
+        out, ctx = model.forward(x, train=True, rng=Rng(74))
+        assert [bn.updates for bn in bns] == [0] * len(bns)  # none moved at the forward
+        assert all(layer.grad_sums["ghosts"] == 5 for layer in _layers(model))
+        model.backward(ctx, np.ones_like(out) / out.size)
+    assert [bn.updates for bn in bns] == [1] * len(bns)
+    # the first layer sees the raw input: its batch norms moved by the mean
+    # of numpy's per-ghost mean and variance of the masked pre-activations
+    for unit in model.blocks[0].main1.units:
+        p = entmax15(unit.mask_logits).probs
+        for w, bn in ((unit.w1, unit.bn1), (unit.w2, unit.bn2)):
+            h = x @ (w * p).T
+            ghosts = [h[s:s + 8] for s in range(0, 37, 8)]
+            mean = np.mean([g.mean(axis=0) for g in ghosts], axis=0)
+            var = np.mean([g.var(axis=0) for g in ghosts], axis=0)
+            assert np.allclose(bn.running_mean, 0.01 * mean, rtol=1e-12, atol=1e-15)
+            assert np.allclose(bn.running_var, 0.99 + 0.01 * var, rtol=1e-12, atol=1e-15)
+    _no_step_state(model)
 
 
 def test_a_step_keeps_one_copy_of_the_masked_weights():
@@ -566,10 +606,9 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
         seen.append(len(seen) + 1)
         if len(seen) == 3:
             assert all(u.grad_sums for u in _units(self))  # ghosts 1 and 2 added theirs
-            # each layer's weights stacked by ghost 1; its gradient and
-            # statistic sums hold ghosts 1 and 2
-            assert all(layer.mask_cache.stats[2] == 2 for layer in _layers(self))
-            assert all(set(layer.grad_sums) == {"w", "gamma", "beta"}
+            # each layer's gradient and statistic sums hold ghosts 1 and 2
+            assert all(layer.grad_sums["ghosts"] == 2 for layer in _layers(self))
+            assert all(set(layer.grad_sums) == {"w", "gamma", "beta", "mean", "var", "ghosts"}
                        for layer in _layers(self))
             raise RuntimeError("ghost 3 failed")
         return forward(self, *args, **kwargs)
@@ -609,9 +648,9 @@ def test_the_reference_step_reaches_no_stacked_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference reached the stacked fold")
 
-    for name in ("of", "fold", "record"):
+    for name in ("of", "fold"):
         monkeypatch.setattr(layers.UnitStack, name, forbidden)
-    for name in ("forward", "backward", "finished_grads"):
+    for name in ("forward", "backward", "finished_grads", "record"):
         monkeypatch.setattr(layers.AbstractLayer, name, forbidden)
     use_reference_step(monkeypatch)  # puts its own AbstractLayer.forward in
     model, x, y = _sparse_mask_case("rank", 63)
