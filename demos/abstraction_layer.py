@@ -2,20 +2,23 @@
 
 A unit masks its input with a learned sparse distribution, pushes the
 selected features through two bias-free affines with ghost batch norm, and
-gates one branch with the sigmoid of the other. This script forces a
-readable mask by hand, runs a few training steps' worth of forward passes,
-and shows the batch-norm running statistics converging toward the stream.
+gates one branch with the sigmoid of the other. A unit trains inside an
+abstraction layer, so this script opens one up in a layer of one branch: it
+forces a readable mask by hand, runs a few training steps' worth of forward
+passes, and shows the batch-norm running statistics converging toward the
+stream.
 """
 
 import numpy as np
 
-from danet import AbstractUnit, Rng, entmax15
+from danet import AbstractLayer, Rng, entmax15
 
 if __name__ == "__main__":
     np.set_printoptions(precision=4, suppress=True)
     rng = Rng(11)
 
-    unit = AbstractUnit(in_dim=6, out_dim=3, ghost_size=8, rng=Rng(0))
+    layer = AbstractLayer(in_dim=6, out_dim=3, branches=1, ghost_size=8, rng=Rng(0))
+    unit = layer.units[0]
     # push the mask toward features 0 and 3; entmax zeroes the rest
     unit.mask_logits[:] = [3.0, 0.0, 0.0, 2.5, 0.0, 0.0]
     print("mask:", entmax15(unit.mask_logits).probs)
@@ -24,7 +27,7 @@ if __name__ == "__main__":
     for step in range(30):
         x = rng.standard_normal((8, 6))
         x[:, 5] *= 1e6
-        out, ctx = unit.forward(x, train=True)
+        out, ctx = layer.forward(x, train=True)
         if step in (0, 9, 29):
             bn = unit.bn2
             print(f"step {step:2d}: out[0] {out[0]}  "

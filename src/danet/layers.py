@@ -255,14 +255,15 @@ class AbstractUnit(Module):
         return mask, np.concatenate((self.w1, self.w2)) * mask.probs
 
     def forward(self, f: np.ndarray, train: bool):
-        """q = sigmoid(BN1(f (W1*p)^T)) gates h2 = BN2(f (W2*p)^T), W = [w1; w2]
-        * p the weights under the learned sparse mask p shared by every row;
-        ReLU on the product. Training mode runs the unit as a layer of one
-        (``AbstractLayer.forward``) and returns that layer's context."""
+        """Eval mode: (q = sigmoid(BN1(f (W1*p)^T)) gating h2 = BN2(f (W2*p)^T),
+        None), W = [w1; w2] * p the weights under the learned sparse mask p
+        shared by every row; ReLU on the product. A unit trains inside its
+        abstraction layer (``AbstractLayer``), never on its own."""
         if f.ndim != 2 or f.shape[1] != self.in_dim:
             raise ShapeError(f"AbstractUnit: expected (rows, {self.in_dim}), got {f.shape}")
         if train:
-            return AbstractLayer.of([self]).forward(f, True)
+            raise RuntimeError("AbstractUnit: trains inside its abstraction layer "
+                               "(AbstractLayer.forward), not on its own")
         _, w = self.masked()
         d = self.out_dim
         h1, _ = self.bn1.forward(f @ w[:d].T, False)
@@ -271,21 +272,6 @@ class AbstractUnit(Module):
         out = np.multiply(q, h2, out=h2)
         np.maximum(out, 0.0, out=out)
         return out, None
-
-    def backward(self, ctx: LayerCtx, dout: np.ndarray):
-        """(df, grads) of a training forward's context, from its layer of one."""
-        df, grads = ctx.owner.backward(ctx, dout)
-        return df, {name.removeprefix("u0."): g for name, g in grads.items()}
-
-    def finished_grads(self) -> dict:
-        """The masked weight gradients G * p from the summed raw ones G, and
-        one entmax backward of the summed mask gradient (linear in it for a
-        fixed mask)."""
-        sums = self.grad_sums
-        mask, g1, g2 = sums["entmax"], sums["w1"], sums["w2"]
-        dmask = np.einsum("ij,ij->j", g1, self.w1) + np.einsum("ij,ij->j", g2, self.w2)
-        return {"mask": entmax15_backward(mask, dmask), "w1": g1 * mask.probs,
-                "w2": g2 * mask.probs}
 
     def leaves(self):
         return [("mask", "mask", self.mask_logits), ("w1", "weight", self.w1),
@@ -344,13 +330,6 @@ class AbstractLayer(Module):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.units = [AbstractUnit(in_dim, out_dim, ghost_size, rng) for _ in range(branches)]
-
-    @classmethod
-    def of(cls, units) -> AbstractLayer:
-        """A layer of existing units, as a lone unit trains."""
-        layer = cls.__new__(cls)
-        layer.in_dim, layer.out_dim, layer.units = units[0].in_dim, units[0].out_dim, list(units)
-        return layer
 
     def forward(self, f: np.ndarray, train: bool):
         """(sum of the units' outputs on f, context or None). Training mode,
@@ -432,8 +411,6 @@ class AbstractLayer(Module):
                 df[s:e] += d2[s:e] @ aw[j, d:, :-1]
         w = stack.w.reshape(-1, m)
         with self.summing_grads() as grads:
-            for unit, mask in zip(self.units, stack.masks):
-                unit.grad_sums["entmax"] = mask  # the mask finished_grads applies
             for ((s, e), inv, a, ws, _), pd in zip(ctx.ghosts, pds):
                 pc, db = pd[..., :-1], pd[..., -1]
                 sxc = np.einsum("kij,kij->ki", pc, stack.w)
@@ -458,13 +435,19 @@ class AbstractLayer(Module):
 
     def finished_grads(self) -> dict:
         """Records the summed ghost statistics, if the sums hold any, and
-        hands the stacked gradient sums to the units and batch norms, which
-        the walk finishes next; a layer has no tensors of its own."""
+        finishes the units' and batch norms' gradients from the stacked sums:
+        each unit's masked weight gradients G * p from the summed raw ones G,
+        and one entmax backward of its summed mask gradient (linear in it for
+        a fixed mask). A layer has no tensors of its own."""
         sums, d = self.grad_sums, self.out_dim
         if "mean" in sums:
             self.record(sums["mean"], sums["var"], sums["ghosts"])
-        for k, unit in enumerate(self.units):
-            unit.add_grads(w1=sums["w"][k, :d], w2=sums["w"][k, d:])
+        masks = (self.mask_cache or UnitStack.of(self.units)).masks
+        for k, (unit, mask) in enumerate(zip(self.units, masks)):
+            g1, g2 = sums["w"][k, :d], sums["w"][k, d:]
+            dmask = np.einsum("ij,ij->j", g1, unit.w1) + np.einsum("ij,ij->j", g2, unit.w2)
+            unit.add_grads(mask=entmax15_backward(mask, dmask), w1=g1 * mask.probs,
+                           w2=g2 * mask.probs)
             unit.bn1.add_grads(gamma=sums["gamma"][k, :d], beta=sums["beta"][k, :d])
             unit.bn2.add_grads(gamma=sums["gamma"][k, d:], beta=sums["beta"][k, d:])
         return {}

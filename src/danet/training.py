@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -176,20 +176,16 @@ def batch_gradients(model, x: np.ndarray, targets: np.ndarray, rng: np.random.Ge
     weights once for the step. Inside ``Module.summing_grads`` the sums are
     finished once, after the last ghost: each layer moves its batch norms'
     running statistics once, from the ghost statistics summed in ghost order,
-    and each unit masks its summed weight gradients and runs one entmax
-    backward. The result equals a whole-batch ``forward(train=True)`` and
-    ``backward`` up to the order of the sums, while only one ghost's
-    activations are alive at a time.
+    and finishes its units' gradients: it masks their summed weight
+    gradients and runs one entmax backward each. The result equals a
+    whole-batch ``forward(train=True)`` and ``backward`` up to the order of
+    the sums, while only one ghost's activations are alive at a time.
 
-    The ghosts run on ``pool`` (a ``GhostPool``) when given, else on a pool
-    made for this call as wide as ``ghost_pool`` allows; at width 1 they run
-    in this process. The result is the same bits at every width.
+    The ghosts run on ``pool`` (a ``GhostPool``, see ``ghost_pool``) when
+    given, else in this process. The result is the same bits either way.
     """
     if pool is not None:
         return pool.gradients(model, x, targets, rng)
-    with ghost_pool(model, x.shape[0]) as pool:
-        if pool is not None:
-            return pool.gradients(model, x, targets, rng)
     rows, ghost = x.shape[0], model.ghost_size
     uniforms = model.dropout_uniforms(rng, rows)
     loss = 0.0
@@ -275,7 +271,6 @@ class GhostPool:
         import multiprocessing
 
         self.width, self.ghost = width, model.ghost_size
-        self.layers = [m for _, m in model.walk() if isinstance(m, AbstractLayer)]
         self.addends = _addends(model)
         params = [arr.shape for _, _, arr in model.named_params()]
         drops = [(rows, b.shortcut.out_dim) for b in model.blocks if b.dropout > 0.0]
@@ -335,9 +330,6 @@ class GhostPool:
             conn.send((rows, targets.dtype.str))
         loss = 0.0
         with model.fixed_params(), model.summing_grads() as grads:
-            for layer in self.layers:
-                for unit, mask in zip(layer.units, layer.mask_cache.masks):
-                    unit.grad_sums["entmax"] = mask  # the mask finished_grads applies
             for loss_view, *views in self._in_ghost_order(conns, ghosts):
                 loss += float(loss_view[0])
                 for (m, key, _), view in zip(self.addends, views):
@@ -391,7 +383,8 @@ class GhostPool:
 
     def _serve(self, model, index: int, conn) -> None:
         # a worker's loop: a step's shape, then its ghosts one message each
-        # until None, until the pipe ends
+        # until None, until the pipe ends; after its exception it reads on
+        # until then, so no message of the parent's breaks on its pipe
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and closes
@@ -424,6 +417,9 @@ class GhostPool:
                 conn.send(exc)
             except Exception:  # it does not pickle
                 conn.send(RuntimeError(f"training worker {index}: {exc!r}"))
+        with suppress(EOFError, OSError):
+            while True:
+                conn.recv()
 
     def close(self) -> None:
         """Ends the workers (they see their pipes end) and waits for them."""

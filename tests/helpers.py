@@ -425,7 +425,6 @@ def use_reference_step(monkeypatch):
     monkeypatch.setattr(GhostBatchNorm, "forward", ref_bn_forward)
     monkeypatch.setattr(AbstractUnit, "forward", ref_unit_forward)
     monkeypatch.setattr(AbstractLayer, "forward", ref_layer_forward)
-    monkeypatch.setattr(AbstractUnit, "backward", ref_unit_backward)
     monkeypatch.setattr(DANet, "backward", ref_model_backward)
     monkeypatch.setattr(training, "batch_gradients", ref_batch_gradients)
     monkeypatch.setattr(Module, "fixed_params", ref_fixed_params)

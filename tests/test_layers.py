@@ -167,13 +167,15 @@ def unit_eval_oracle(unit, f):
 
 
 def trained_unit(seed, in_dim=6, out_dim=4, steps=3):
+    # the unit of a one-branch layer, which draws what a lone unit draws
     rng = Rng(seed)
-    unit = AbstractUnit(in_dim, out_dim, ghost_size=8, rng=rng)
+    layer = AbstractLayer(in_dim, out_dim, branches=1, ghost_size=8, rng=rng)
+    unit = layer.units[0]
     unit.mask_logits[:] = rng.standard_normal(in_dim)
     unit.bn1.gamma[:] = rng.uniform(0.5, 1.5, out_dim)
     unit.bn2.beta[:] = rng.standard_normal(out_dim) * 0.3
     for _ in range(steps):  # populate running stats
-        unit.forward(rng.standard_normal((16, in_dim)), train=True)
+        layer.forward(rng.standard_normal((16, in_dim)), train=True)
     return unit, rng
 
 
@@ -277,12 +279,13 @@ def test_gated_value_rebuilds_the_training_output_bitwise():
     # gate 1's stability screen reads gated_value; it must rebuild exactly
     # the value the unit's ReLU saw, ghost by ghost (8, 8 and a tail of 5)
     rng = Rng(21)
-    unit = AbstractUnit(5, 4, ghost_size=8, rng=rng)
+    layer = AbstractLayer(5, 4, branches=1, ghost_size=8, rng=rng)
+    unit = layer.units[0]
     unit.mask_logits[:] = rng.standard_normal(5)
     for bn in (unit.bn1, unit.bn2):
         bn.gamma[:] = rng.uniform(0.5, 1.5, 4)
         bn.beta[:] = 0.5 * rng.standard_normal(4)
-    out, ctx = unit.forward(3.0 * rng.standard_normal((21, 5)), train=True)
+    out, ctx = layer.forward(3.0 * rng.standard_normal((21, 5)), train=True)
     assert (out == 0.0).any() and (out > 0.0).any()
     assert relu(gated_value(ctx, 0)).tobytes() == out.tobytes()
 
@@ -410,24 +413,29 @@ def test_moment_path_with_exactly_zero_mask_columns(monkeypatch):
             assert not grads[f"u{k}.{w}"][:, p == 0.0].any()
 
 
-def test_a_lone_unit_trains_as_a_layer_of_one():
+def test_a_unit_trains_only_inside_its_layer():
+    unit = AbstractUnit(5, 3, ghost_size=4, rng=Rng(41))
+    with pytest.raises(ShapeError):
+        unit.forward(np.zeros((4, 4)), train=True)
+    with pytest.raises(RuntimeError, match="inside its abstraction layer"):
+        unit.forward(np.zeros((4, 5)), train=True)
+
+
+def test_a_backward_outside_a_step_is_the_backward_inside_one():
+    # outside Module.fixed_params the layer masks its units again to finish
+    # their gradients, inside it takes the step's stack: the same bits
     rng = Rng(40)
-    layer = _moment_layer(rng, branches=1)
-    unit = layer.units[0]
+    layer = _moment_layer(rng)
+    inside = copy.deepcopy(layer)
     f = rng.standard_normal((19, 6))
     dout = rng.standard_normal((19, 4))
-    lout, lctx = layer.forward(f, train=True)
-    ldf, lgrads = layer.backward(lctx, dout)
-    out, ctx = unit.forward(f, train=True)
-    df, grads = unit.backward(ctx, dout)
-    assert out.tobytes() == lout.tobytes() and df.tobytes() == ldf.tobytes()
-    assert list(grads) == [n for n, _, _ in unit.named_params()]
-    assert all(grads[n].tobytes() == lgrads[f"u0.{n}"].tobytes() for n in grads)
-    # inside sums opened around the unit its gradients land there
-    _, ctx = unit.forward(f, train=True)
-    with unit.summing_grads() as outer:
-        assert unit.backward(ctx, dout)[1] == {}
-    assert all(outer[n].tobytes() == grads[n].tobytes() for n in grads)
+    out, df, grads, bufs = _fast_pass(layer, f, dout)
+    with inside.fixed_params():
+        iout, idf, igrads, ibufs = _fast_pass(inside, f, dout)
+    assert out.tobytes() == iout.tobytes() and df.tobytes() == idf.tobytes()
+    assert list(grads) == list(igrads) == [n for n, _, _ in layer.named_params()]
+    assert all(grads[n].tobytes() == igrads[n].tobytes() for n in grads)
+    assert [(n, a.tobytes()) for n, a in bufs] == [(n, a.tobytes()) for n, a in ibufs]
 
 
 def test_layer_backward_matches_finite_differences():
@@ -489,8 +497,7 @@ def test_context_is_single_use_and_owner_checked():
 
 def test_mask_is_shared_across_rows():
     unit, rng = trained_unit(21)
-    _, ctx = unit.forward(rng.standard_normal((30, 6)), train=True)
-    mask = ctx.stack.masks[0]
+    mask = entmax15(unit.mask_logits)
     assert abs(mask.probs.sum() - 1.0) <= 1e-12
     # same mask applied to every row: each row scores as that row scaled by
     # the mask scores under a uniform mask (1/6 per feature, undone by the 6)

@@ -13,7 +13,7 @@ from danet import (AbstractLayer, BasicBlock, CompressedUnit, ContainerError, DA
                    compress_unit, count_flops, fold_bn, load_model,
                    save_model)
 from danet import network
-from danet.layers import AbstractUnit, Module
+from danet.layers import Module
 from danet.reparam import compressed_like
 from helpers import set_scoring_width
 
@@ -46,15 +46,17 @@ def test_fold_bn_matches_eval_normalization():
 
 
 def _populated_unit(seed, in_dim=7, out_dim=4):
+    # the unit of a one-branch layer, which draws what a lone unit draws
     rng = Rng(seed)
-    unit = AbstractUnit(in_dim, out_dim, ghost_size=8, rng=rng)
+    layer = AbstractLayer(in_dim, out_dim, branches=1, ghost_size=8, rng=rng)
+    unit = layer.units[0]
     unit.mask_logits[:] = rng.standard_normal(in_dim)
     unit.bn1.gamma[:] = rng.uniform(0.5, 1.5, out_dim)
     unit.bn2.gamma[:] = rng.uniform(0.5, 1.5, out_dim)
     unit.bn1.beta[:] = rng.standard_normal(out_dim) * 0.4
     unit.bn2.beta[:] = rng.standard_normal(out_dim) * 0.4
     for _ in range(4):
-        unit.forward(rng.standard_normal((16, in_dim)), train=True)
+        layer.forward(rng.standard_normal((16, in_dim)), train=True)
     return unit, rng
 
 

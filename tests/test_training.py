@@ -6,6 +6,7 @@ import multiprocessing as mp
 import os
 import time
 import tracemalloc
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -596,6 +597,27 @@ def test_the_mask_cache_does_not_outlive_its_step():
     assert not np.array_equal(model.scores(x), scores)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_the_next_finish_masks_with_the_new_logits(width, monkeypatch):
+    # each step's finish masks the units' gradients with that step's masks:
+    # once a unit keeps feature 0 alone, its weight gradients vanish off
+    # column 0, and so does its mask gradient (a one-feature entmax is flat)
+    set_scoring_width(monkeypatch, width)
+    model, x, y = _sparse_mask_case("class", 51)
+    unit = model.blocks[0].main1.units[0]
+    names = [f"block0.main1.u0.{leaf}" for leaf in ("mask", "w1", "w2")]
+    with training.ghost_pool(model, 37) as pool:
+        _, grads = batch_gradients(model, x, y, Rng(52), pool)
+        assert all(grads[n][..., 1:].any() for n in names)
+        unit.mask_logits[:] = -10.0
+        unit.mask_logits[0] = 10.0
+        _, grads = batch_gradients(model, x, y, Rng(52), pool)
+    assert grads[names[1]][:, 0].any() and grads[names[2]][:, 0].any()
+    assert not any(grads[n][..., 1:].any() for n in names)
+    assert not grads[names[0]].any()
+    _no_step_state(model)
+
+
 def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
     set_scoring_width(monkeypatch, 1)  # spies in this process see the serial step
     model, x, y = _sparse_mask_case("class", 49)
@@ -605,7 +627,6 @@ def test_a_step_that_raises_drops_the_mask_cache(monkeypatch):
     def fails_on_the_third_ghost(self, *args, **kwargs):
         seen.append(len(seen) + 1)
         if len(seen) == 3:
-            assert all(u.grad_sums for u in _units(self))  # ghosts 1 and 2 added theirs
             # each layer's gradient and statistic sums hold ghosts 1 and 2
             assert all(layer.grad_sums["ghosts"] == 2 for layer in _layers(self))
             assert all(set(layer.grad_sums) == {"w", "gamma", "beta", "mean", "var", "ghosts"}
@@ -790,7 +811,9 @@ def _step_at(width, monkeypatch, task, rows):
     set_scoring_width(monkeypatch, width)
     model, x, y = _step_case(task, rows)
     rng = Rng(73)
-    loss, grads = batch_gradients(model, x, y, rng)
+    with training.ghost_pool(model, rows) as pool:
+        assert (pool is None) == (width == 1)
+        loss, grads = batch_gradients(model, x, y, rng, pool)
     bns = [(bn.running_mean, bn.running_var, bn.updates) for _, bn in model.named_bns()]
     return loss, grads, bns, rng.random()
 
@@ -897,6 +920,32 @@ def test_a_worker_exception_is_raised_in_the_parent(monkeypatch):
         with pytest.raises(ValueError, match="injected"):
             batch_gradients(model, x, y, Rng(83), pool)
         with pytest.raises(RuntimeError, match="closed"):
+            batch_gradients(model, x, y, Rng(83), pool)
+    assert not mp.active_children()
+
+
+def test_a_worker_exception_is_raised_when_its_step_ends_late(monkeypatch):
+    # the parent ends a step at every worker after its last hand-out; a
+    # worker that failed before that end reached it must still take it, or
+    # the parent's send breaks and hides the worker's exception
+    set_scoring_width(monkeypatch, 2)
+    parent, ghost_step, send = os.getpid(), training._ghost_step, Connection.send
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ValueError("injected worker failure")
+        return ghost_step(*args)
+
+    def late_step_end(conn, obj):
+        if obj is None and os.getpid() == parent:
+            time.sleep(0.3)  # both workers fail and report first
+        send(conn, obj)
+
+    monkeypatch.setattr(training, "_ghost_step", failing)
+    monkeypatch.setattr(Connection, "send", late_step_end)
+    model, x, y = _step_case("class", 16)
+    with training.ghost_pool(model, 16) as pool:
+        with pytest.raises(ValueError, match="injected worker failure"):
             batch_gradients(model, x, y, Rng(83), pool)
     assert not mp.active_children()
 
